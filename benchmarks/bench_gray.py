@@ -5,8 +5,7 @@ storm, congestion collapse, partial link degradation) is injected once
 under static per-flow ECMP — the clean baseline — and once under
 per-packet spraying, and the spraying leg's detection recall and
 localization rate must stay within :class:`GrayBounds` of the
-baseline's.  The sweep also pins backend equivalence (legacy analyzer
-opens bit-identical events), shard-plane equivalence, the
+baseline's.  The sweep also pins shard-plane equivalence, the
 distribution-aware-vs-naive voting comparison, and the Flock
 probabilistic baseline.  The quick subset keeps CI fast; the committed
 artifact covers both seeds and shard counts (2, 4).

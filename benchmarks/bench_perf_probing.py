@@ -6,7 +6,8 @@ skeleton-scale monitoring cheap —
 
 * batched probe rounds over the :class:`FlowResolutionCache` fast path
   versus the pre-change sequential cost (caches disabled), and
-* the incremental LOF detector state versus the legacy full rebuild.
+* the columnar detector's batched window scoring, with its LOF scores
+  pinned to the full-rebuild reference.
 
 The batched path must beat sequential at every size (the committed
 artifact's acceptance bar is 5x at 512 endpoints), and it must stay
@@ -56,18 +57,19 @@ def test_detector_window_fast_path(benchmark):
     rows = run_once(benchmark, experiment)
 
     print_table(
-        "Detector windows: full-rebuild LOF vs incremental",
-        ["pairs", "legacy win/s", "incremental win/s", "speedup"],
-        [[r["pairs"], f"{r['legacy_windows_per_s']:.0f}",
-          f"{r['incremental_windows_per_s']:.0f}",
-          f"{r['speedup']:.2f}x"] for r in rows],
+        "Detector windows: columnar batches, drift vs full-rebuild LOF",
+        ["pairs", "anomalies", "columnar win/s", "score drift"],
+        [[r["pairs"], r["anomalies"],
+          f"{r['columnar_windows_per_s']:.0f}",
+          f"{r['score_drift']:.1e}"] for r in rows],
     )
     for row in rows:
-        benchmark.extra_info[f"speedup_{row['pairs']}"] = row["speedup"]
-        # The incremental state must agree with the reference rebuild
-        # (summed-score drift is pure float noise) and not regress badly.
-        assert row["score_drift"] < 1e-6
-        assert row["speedup"] > 0.8
+        benchmark.extra_info[f"windows_per_s_{row['pairs']}"] = (
+            row["columnar_windows_per_s"]
+        )
+        # The batched scores must agree with the full-rebuild reference
+        # (any drift is pure float reassociation noise).
+        assert row["score_drift"] <= 1e-10
 
 
 def test_batch_equals_sequential(benchmark):

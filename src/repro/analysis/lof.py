@@ -6,27 +6,22 @@ above 1 for outliers.  SkeletonHunter's short-term detector computes LOF
 over the per-window latency summary vectors inside a five-minute look-back
 (§5.2 of the paper) and flags windows whose score exceeds a threshold.
 
-Two implementations exist:
+Two forms exist:
 
-* the batch functions (:func:`local_outlier_factor`,
-  :func:`lof_score_of_new_point`) recompute everything from the raw
-  points — the reference semantics;
-* :class:`IncrementalLOF` keeps a rolling reference set with its
-  pairwise distances, k-distances, and local reachability densities
-  maintained *incrementally* (the ILOF idea), so scoring each new window
-  is O(k·n) instead of the O(n²·d) full rebuild.  This is what the
-  per-pair short-term detectors hold — with thousands of monitored pairs
-  closing a window every 30 s, the rebuild was the detector hot spot.
+* the reference functions (:func:`local_outlier_factor`,
+  :func:`lof_score_of_new_point`) recompute everything from one set of
+  raw points — the semantics the detector is tested against;
+* :func:`lof_scores_fixed_batch` scores a whole stack of per-pair
+  reference sets at once — what the columnar detection engine runs, so
+  thousands of pairs closing a window every 30 s cost a few numpy calls
+  instead of one rebuild each.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
-    "IncrementalLOF",
     "local_outlier_factor",
     "lof_score_of_new_point",
     "lof_scores_fixed_batch",
@@ -39,10 +34,9 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     Materializes the (n, n, d) difference tensor and contracts it with
     one einsum.  The ``||a||² + ||b||² - 2·a·b`` identity would be one
     BLAS matmul instead, but its cancellation error grows with the
-    point magnitudes; the explicit form keeps every caller — the batch
-    references here, :class:`IncrementalLOF`, and
-    :func:`lof_scores_fixed_batch` — on the *same* contraction kernel,
-    so their scores agree bit-for-bit.  n is a look-back (tens), so the
+    point magnitudes; the explicit form keeps the references here and
+    :func:`lof_scores_fixed_batch` on the *same* contraction kernel, so
+    their scores agree bit-for-bit.  n is a look-back (tens), so the
     tensor stays small.
     """
     diff = points[:, None, :] - points[None, :, :]
@@ -134,11 +128,10 @@ def lof_scores_fixed_batch(
     reference sets that all hold the *same* number of points n (the
     caller buckets by count), ``candidates`` is the matching (B, d)
     block of new windows.  Every arithmetic step mirrors
-    :meth:`IncrementalLOF.score` over the same cached quantities —
-    explicit-difference distances through the same einsum contraction
-    kernel, reach means divided by ``k_eff`` and clamped at 1e-12 — so
-    per-row results agree with the incremental state bit-for-bit.
-    Rows with n < 2 score a neutral 1.0.
+    :func:`lof_score_of_new_point` — explicit-difference distances
+    through the same einsum contraction kernel, reach means clamped at
+    1e-12 — so per-row results agree with the reference (bit-for-bit
+    on continuous draws).  Rows with n < 2 score a neutral 1.0.
     """
     hist = np.asarray(histories, dtype=np.float64)
     cand = np.asarray(candidates, dtype=np.float64)
@@ -157,7 +150,7 @@ def lof_scores_fixed_batch(
     dist[:, rows, rows] = np.inf
 
     # Per-row k-distance and local reachability density of the
-    # reference points (same formulas as IncrementalLOF._refresh_all).
+    # reference points.
     idx = np.argpartition(dist, k_eff - 1, axis=2)[:, :, :k_eff]
     vals = np.take_along_axis(dist, idx, axis=2)
     kd = vals.max(axis=2)
@@ -167,7 +160,7 @@ def lof_scores_fixed_batch(
         np.add.reduce(reach, axis=2) / k_eff, 1e-12
     )
 
-    # Candidate side (IncrementalLOF.score).
+    # Candidate side: its k nearest reference points.
     diff_c = hist - cand[:, None, :]
     d_c = np.sqrt(np.einsum("bnd,bnd->bn", diff_c, diff_c))
     nn = np.argpartition(d_c, k_eff - 1, axis=1)[:, :k_eff]
@@ -177,188 +170,3 @@ def lof_scores_fixed_batch(
         np.add.reduce(reach_c, axis=1) / k_eff, 1e-12
     )
     return np.add.reduce(lrd[flat, nn], axis=1) / k_eff / lrd_c
-
-
-class IncrementalLOF:
-    """A rolling LOF reference set with incrementally maintained state.
-
-    Holds up to ``capacity`` points (oldest evicted first) in
-    preallocated buffers.  Appending a point adds one O(n·d) distance
-    row and re-derives k-distances / local reachability densities — in
-    one fused vectorized pass while the set is small, and selectively
-    (only the rows whose k-neighbourhood the insertion or eviction
-    actually touched) once n outgrows the fused pass; :meth:`score` is
-    O(k·n) either way.  Scores agree with
-    :func:`lof_score_of_new_point` on the same reference set (same
-    formulas over the same cached quantities, to float rounding).
-    """
-
-    #: Below this size a full vectorized refresh beats the selective
-    #: bookkeeping (everything is numpy-call-overhead bound).
-    _FUSED_MAX = 32
-
-    def __init__(self, k: int = 5, capacity: Optional[int] = None) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if capacity is not None and capacity < 2:
-            raise ValueError("capacity must be >= 2")
-        self.k = k
-        self.capacity = capacity
-        self._n = 0
-        self._pts: Optional[np.ndarray] = None    # (cap, d) buffer
-        self._dist: Optional[np.ndarray] = None   # (cap, cap), inf diag
-        self._k_distance: Optional[np.ndarray] = None
-        self._lrd: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def points(self) -> np.ndarray:
-        """The current reference set, oldest row first (read-only)."""
-        if self._pts is None:
-            return np.empty((0, 0))
-        return self._pts[:self._n]
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def _allocate(self, size: int, dim: int) -> None:
-        pts = np.empty((size, dim))
-        dist = np.full((size, size), np.inf)
-        kd = np.full(size, np.inf)
-        lrd = np.zeros(size)
-        if self._n:
-            m = self._n
-            pts[:m] = self._pts[:m]
-            dist[:m, :m] = self._dist[:m, :m]
-            kd[:m] = self._k_distance[:m]
-            lrd[:m] = self._lrd[:m]
-        self._pts, self._dist = pts, dist
-        self._k_distance, self._lrd = kd, lrd
-
-    def append(self, point: np.ndarray) -> None:
-        """Add a point, evicting the oldest when at capacity."""
-        p = np.asarray(point, dtype=np.float64).ravel()
-        if self._pts is None:
-            self._allocate(min(self.capacity or 16, 64), p.shape[0])
-        n = self._n
-        fused = (
-            min(n + 1, self.capacity or n + 1) <= self._FUSED_MAX
-            or n <= self.k
-        )
-
-        affected = None
-        if self.capacity is not None and n >= self.capacity:
-            if not fused:
-                # Rows that counted the evicted point among their k
-                # nearest have a stale (too small) k-distance.  The
-                # slice is aligned with the post-shift indices already.
-                affected = np.nonzero(
-                    self._dist[0, 1:n] <= self._k_distance[1:n]
-                )[0]
-                self._k_distance[:n - 1] = self._k_distance[1:n]
-                self._lrd[:n - 1] = self._lrd[1:n]
-            self._pts[:n - 1] = self._pts[1:n]
-            self._dist[:n - 1, :n - 1] = self._dist[1:n, 1:n]
-            n -= 1
-        elif n == self._pts.shape[0]:
-            grown = 2 * n
-            if self.capacity is not None:
-                grown = min(grown, self.capacity)
-            self._allocate(grown, self._pts.shape[1])
-
-        d_row = self._pts[:n] - p
-        d_new = np.sqrt(np.einsum("nd,nd->n", d_row, d_row))
-        self._pts[n] = p
-        self._dist[n, :n] = d_new
-        self._dist[:n, n] = d_new
-        self._dist[n, n] = np.inf
-        n += 1
-        self._n = n
-        if n < 2:
-            return
-
-        k_eff = min(self.k, n - 1)
-        if fused:
-            self._refresh_all(k_eff)
-            return
-        # Existing rows the new point lands inside the current
-        # k-distance of gain a nearer neighbour.  Rows with a stale
-        # (eviction-shrunk) k-distance are already in ``affected``.
-        closer = np.nonzero(d_new <= self._k_distance[:n - 1])[0]
-        pieces = [closer, np.array([n - 1], dtype=np.intp)]
-        if affected is not None and affected.size:
-            pieces.append(affected)
-        rows = np.unique(np.concatenate(pieces)).astype(np.intp)
-        self._refresh_rows(rows, k_eff)
-
-    def _refresh_all(self, k_eff: int) -> None:
-        """One fused k-distance + lrd pass over the whole set."""
-        n = self._n
-        dist = self._dist[:n, :n]
-        idx = np.argpartition(dist, k_eff - 1, axis=1)[:, :k_eff]
-        vals = np.take_along_axis(dist, idx, axis=1)
-        kd = vals.max(axis=1)
-        reach = np.maximum(kd[idx], vals)
-        self._k_distance[:n] = kd
-        self._lrd[:n] = 1.0 / np.maximum(
-            np.add.reduce(reach, axis=1) / k_eff, 1e-12
-        )
-
-    def _refresh_rows(self, rows: np.ndarray, k_eff: int) -> None:
-        """Recompute k-distance and lrd for ``rows`` only."""
-        n = self._n
-        dist = self._dist[:n, :n]
-        sub = dist[rows]
-        idx = np.argpartition(sub, k_eff - 1, axis=1)[:, :k_eff]
-        vals = np.take_along_axis(sub, idx, axis=1)
-        kd = vals.max(axis=1)
-        changed = rows[kd != self._k_distance[rows]]
-        self._k_distance[rows] = kd
-
-        # A row's density depends on its neighbours' k-distances, so any
-        # row that holds a changed row inside its own k-distance must
-        # refresh too (a superset of exact kNN membership — harmless).
-        if changed.size:
-            within = np.nonzero(
-                (dist[:, changed] <= self._k_distance[:n, None]).any(axis=1)
-            )[0]
-            lrd_rows = np.union1d(rows, within).astype(np.intp)
-            sub = dist[lrd_rows]
-            idx = np.argpartition(sub, k_eff - 1, axis=1)[:, :k_eff]
-            vals = np.take_along_axis(sub, idx, axis=1)
-        else:
-            lrd_rows = rows
-        reach = np.maximum(self._k_distance[idx], vals)
-        self._lrd[lrd_rows] = 1.0 / np.maximum(
-            np.add.reduce(reach, axis=1) / k_eff, 1e-12
-        )
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-
-    def score(self, candidate: np.ndarray) -> float:
-        """LOF of ``candidate`` against the current reference set.
-
-        The candidate does not join the set (call :meth:`append` for
-        that); fewer than two reference points score a neutral 1.0,
-        matching :func:`lof_score_of_new_point`.
-        """
-        n = self._n
-        if n < 2:
-            return 1.0
-        cand = np.asarray(candidate, dtype=np.float64).ravel()
-        k_eff = min(self.k, n - 1)
-        diff_c = self._pts[:n] - cand
-        d_c = np.sqrt(np.einsum("nd,nd->n", diff_c, diff_c))
-        nn = np.argpartition(d_c, k_eff - 1)[:k_eff]
-        reach = np.maximum(self._k_distance[nn], d_c[nn])
-        lrd_cand = 1.0 / max(
-            float(np.add.reduce(reach)) / k_eff, 1e-12
-        )
-        return float(
-            np.add.reduce(self._lrd[nn]) / k_eff / lrd_cand
-        )

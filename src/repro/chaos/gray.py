@@ -13,11 +13,8 @@ baseline's.
 The same sweep also enforces the plumbing invariants behind the
 numbers:
 
-* **backend equivalence** — the spraying leg is re-run on the legacy
-  per-pair analyzer backend and must open bit-identical failure events
-  (same pairs, symptoms, and detection times);
 * **shard equivalence** — a spraying gray scenario runs on the sharded
-  plane at several shard counts and both analyzer backends via
+  plane at several shard counts via
   :func:`repro.shard.equivalence.verify_shard_equivalence`, so the
   published report could not depend on how the plane was partitioned;
 * **voting comparison** — the spraying leg is re-run with
@@ -42,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import FlockLocalizer
 from repro.cluster.identifiers import LinkId
-from repro.core.analyzer import Analyzer, LoadConditionedAdmission
+from repro.core.analyzer import LoadConditionedAdmission
 from repro.core.evaluation import CampaignScorer
 from repro.core.localization import healthy_pairs_for
 from repro.network.faults import gray_injection_overrides
@@ -55,7 +52,6 @@ from repro.workloads.scenarios import build_scenario
 __all__ = [
     "GRAY_FAMILIES",
     "GrayBounds",
-    "GrayEquivalenceError",
     "format_report",
     "gray_fault_target",
     "gray_shard_spec",
@@ -70,10 +66,6 @@ GRAY_FAMILIES: Tuple[GrayIssueType, ...] = tuple(GrayIssueType)
 WARM_S = 200.0
 FAULT_S = 120.0
 COOL_S = 40.0
-
-
-class GrayEquivalenceError(AssertionError):
-    """A spraying run diverged across analyzer backends."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,6 @@ def _build_leg(
     issue: GrayIssueType,
     seed: int,
     ecmp_mode: str,
-    backend: str = "columnar",
     distribution_aware: bool = True,
 ):
     """One campaign scenario with the full gray pipeline installed.
@@ -131,11 +122,6 @@ def _build_leg(
         seed=seed * 100 + issue.value, hosts_per_segment=2,
         ecmp_mode=ecmp_mode,
     )
-    if backend != "columnar":
-        # Swap before the first probe round: the hunter reads
-        # ``self.analyzer`` per round, so a pre-run replacement is
-        # equivalent to constructing with this backend.
-        scenario.hunter.analyzer = Analyzer(backend=backend)
     load_model = LinkLoadModel.from_workload(
         scenario.workload, scenario.cluster
     )
@@ -187,28 +173,15 @@ def gray_fault_target(scenario, load_model: LinkLoadModel):
     )
 
 
-def _event_signature(scenario) -> Tuple[Tuple[object, ...], ...]:
-    """The run's opened events in a backend-comparable form."""
-    return tuple(
-        (
-            str(event.pair.src), str(event.pair.dst),
-            event.symptom.value,
-            round(event.first_detected_at, 9),
-        )
-        for event in scenario.hunter.events
-    )
-
-
 def _run_leg(
     issue: GrayIssueType,
     seed: int,
     ecmp_mode: str,
-    backend: str = "columnar",
     distribution_aware: bool = True,
 ) -> Dict[str, object]:
     """One campaign leg; returns the outcome plus the live scenario."""
     scenario, load_model = _build_leg(
-        issue, seed, ecmp_mode, backend, distribution_aware
+        issue, seed, ecmp_mode, distribution_aware
     )
     scenario.run_for(WARM_S)
     scenario.apply_skeleton()
@@ -322,8 +295,8 @@ def run_gray_benchmark(
 
     Returns the JSON-ready report; ``report["summary"]["passed"]``
     tells callers whether every :class:`GrayBounds` held.  Raises
-    :class:`GrayEquivalenceError` if the legacy analyzer backend or the
-    shard plane ever disagrees with the columnar single-process run.
+    :class:`~repro.shard.equivalence.ShardEquivalenceError` if the shard
+    plane ever disagrees with the single-shard run.
     """
     bounds = bounds if bounds is not None else GrayBounds()
     seeds = (seed,) if quick else (seed, seed + 1)
@@ -332,16 +305,6 @@ def run_gray_benchmark(
         for s in seeds:
             static = _run_leg(issue, s, "static")
             spray = _run_leg(issue, s, "spray")
-            legacy = _run_leg(issue, s, "spray", backend="legacy")
-            spray_signature = _event_signature(spray["scenario"])
-            legacy_signature = _event_signature(legacy["scenario"])
-            if spray_signature != legacy_signature:
-                raise GrayEquivalenceError(
-                    f"{issue.name} seed {s}: legacy analyzer backend "
-                    f"opened different events than columnar "
-                    f"(columnar {len(spray_signature)}, legacy "
-                    f"{len(legacy_signature)})"
-                )
             naive = _run_leg(
                 issue, s, "spray", distribution_aware=False
             )
@@ -353,7 +316,6 @@ def run_gray_benchmark(
                 "spray": _strip(spray),
                 "spray_naive": _strip(naive),
                 "flock": flock,
-                "backend_events_equal": True,
             })
 
     def count(leg: str, key: str) -> int:
@@ -367,7 +329,6 @@ def run_gray_benchmark(
         spec=gray_shard_spec(seed=seed),
         shard_counts=(2,) if quick else (2, 4),
         backends=("inproc",),
-        analyzer_backends=("columnar", "legacy"),
         with_failover=False,
     )
     summary: Dict[str, object] = {

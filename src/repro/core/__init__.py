@@ -3,14 +3,8 @@
 from repro.core.agent import AgentResourceModel, OverlayAgent, UnderlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.controller import Controller, ControllerError
-from repro.core.detection import (
-    DetectedAnomaly,
-    DetectorConfig,
-    LongTermDetector,
-    PairMonitor,
-    ShortTermDetector,
-    WindowSummary,
-)
+from repro.core.columnar import ColumnarDetectionEngine
+from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.evaluation import (
     CampaignScore,
     CampaignScorer,
@@ -57,6 +51,7 @@ __all__ = [
     "Blacklist",
     "CampaignScore",
     "CampaignScorer",
+    "ColumnarDetectionEngine",
     "Controller",
     "ControllerError",
     "DetectedAnomaly",
@@ -71,10 +66,8 @@ __all__ = [
     "IntersectionResult",
     "LocalizationReport",
     "Localizer",
-    "LongTermDetector",
     "MigrationAction",
     "OverlayAgent",
-    "PairMonitor",
     "PhysicalIntersection",
     "RecoveryManager",
     "ReleaseChannel",
@@ -85,11 +78,9 @@ __all__ = [
     "ProbeRoundExecutor",
     "RnicFinding",
     "RnicValidator",
-    "ShortTermDetector",
     "SkeletonHunter",
     "SkeletonInference",
     "UnderlayAgent",
-    "WindowSummary",
     "estimate_round_duration",
     "fault_affects_pair",
     "probes_per_round",

@@ -1,14 +1,11 @@
-"""Columnar storage + batched scoring for the detection hot path.
+"""Columnar storage + batched scoring for the §5.2 detectors.
 
-The legacy detection path holds one ``PairMonitor`` / ``IncrementalLOF``
-/ ``LognormalFit`` object per pair and walks them in Python: closing a
-30-second window costs a seven-number summary, an O(k·n) LOF score, a
-median check, and a baseline append — each a handful of small numpy
-calls whose interpreter overhead dominates at thousands of pairs (the
-analyzer owns round wall-clock at 2048 pairs, BENCH_probing.json).
-
-This module replaces the object soup with a *columnar* store indexed by
-a pair→row table:
+Every monitored pair closes a 30-second window every 30 s; scoring each
+one as its own object (a seven-number summary, an O(k·n) LOF score, a
+median check, a baseline append — each a handful of small numpy calls)
+lets interpreter overhead dominate at thousands of pairs.  This module
+instead keeps every pair's detection state in a *columnar* store
+indexed by a pair→row table:
 
 * **Open-window columns** — one ``(pairs × samples)`` latency matrix
   plus sent/lost/consecutive-loss counters per row; ``ingest`` appends
@@ -30,13 +27,13 @@ thing detector state depends on — is preserved because wave w+1 never
 runs before every row's wave-w window has been scored and (if healthy)
 admitted to the baseline.
 
-Equivalence with the legacy path is a hard gate
-(:func:`repro.perf.verify_detector_equivalence`, plus the hypothesis
-property suite): verdicts match anomaly-for-anomaly and scores agree
-within the documented 1e-10 drift — batched reductions reassociate
-float sums (numpy pairwise vs. Python sequential), which moves results
-by ~1e-15 relative but never past a detection threshold for
-continuously distributed latencies.
+The semantics are pinned by a compact eager reference analyzer under
+``tests/oracle`` (full-rebuild :func:`lof_score_of_new_point`,
+:func:`fit_lognormal`/:func:`z_test` per pair and window): verdicts
+match anomaly-for-anomaly and scores agree within the documented 1e-10
+drift — batched reductions reassociate float sums (numpy pairwise vs.
+Python sequential), which moves results by ~1e-15 relative but never
+past a detection threshold for continuously distributed latencies.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ class ColumnarDetectionEngine:
     Windows close *lazily*: ``ingest`` queues them (so no probe ever
     pollutes an elapsed window) and ``collect`` scores every queued
     window across all pairs at once — per-pair verdicts are identical
-    to the eager legacy path, they just materialize at the next
+    to eager per-window scoring, they just materialize at the next
     ``Analyzer.flush`` (or immediately, via :meth:`collect_rows`, when
     the fast-unconnectivity path needs in-order draining).
     """
@@ -137,8 +134,8 @@ class ColumnarDetectionEngine:
         self._hist_n = np.zeros(0, dtype=np.int64)
         self._hist_head = np.zeros(0, dtype=np.int64)
 
-        # Per-row pending windows awaiting a scoring pass, in exactly
-        # the order the legacy path would have processed them.
+        # Per-row pending windows awaiting a scoring pass, in the
+        # order eager per-window scoring would have processed them.
         self._pending: List[List[tuple]] = []
 
     # ------------------------------------------------------------------
@@ -151,7 +148,7 @@ class ColumnarDetectionEngine:
         return len(self._rows)
 
     def pairs(self) -> List[ProbePair]:
-        """Monitored pairs in first-probe order (legacy dict order)."""
+        """Monitored pairs in first-probe order."""
         return list(self._rows)
 
     def row_of(self, pair: ProbePair) -> Optional[int]:

@@ -1,4 +1,4 @@
-"""Connectivity anomaly detection (§5.2 of the paper).
+"""Connectivity anomaly detection (§5.2 of the paper): shared types.
 
 Probe results stream into per-pair buffers.  Every 30 seconds a window
 closes and yields a seven-number latency summary plus loss counts; the
@@ -14,63 +14,23 @@ detectors then decide whether the pair misbehaves:
 * **Long-term Z-test** — thirty-minute aggregates are Z-tested against a
   log-normal fit of the pair's reference period, catching gradual
   degradation that creeps slowly enough to hide inside the LOF baseline.
+
+The detectors themselves run batched across all pairs in
+:class:`~repro.core.columnar.ColumnarDetectionEngine`; this module holds
+the verdict type and the tunables they share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.analysis.lof import IncrementalLOF
-from repro.analysis.stats import LognormalFit, fit_lognormal, z_test
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
-from repro.network.packet import ProbeResult
-from repro.sim.metrics import SeriesStats, TimeSeries
 
 __all__ = [
     "DetectedAnomaly",
     "DetectorConfig",
-    "LongTermDetector",
-    "PairMonitor",
-    "ShortTermDetector",
-    "WindowSummary",
 ]
-
-
-@dataclass(frozen=True)
-class WindowSummary:
-    """One closed 30-second window of a pair's probing results."""
-
-    pair: ProbePair
-    window_start: float
-    window_end: float
-    sent: int
-    lost: int
-    stats: Optional[SeriesStats]  # None when every probe was lost
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of probes lost in the window."""
-        return self.lost / self.sent if self.sent else 0.0
-
-    def feature_vector(self) -> Optional[np.ndarray]:
-        """The LOF feature: (p25, p50, p75, min, mean, std, max).
-
-        Memoized: both the scorer and the baseline append consume the
-        feature of the same window, and building the array dominates
-        neither — but on the hot path even a spare ``np.asarray`` per
-        window shows up at thousands of pairs.
-        """
-        if self.stats is None:
-            return None
-        cached = getattr(self, "_feature", None)
-        if cached is None:
-            cached = np.asarray(self.stats.as_vector(), dtype=np.float64)
-            object.__setattr__(self, "_feature", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -104,217 +64,3 @@ class DetectorConfig:
     fast_unconnectivity_probes: int = 4  # consecutive losses -> alarm now
     ztest_alpha: float = 1e-4
     min_long_samples: int = 50
-
-
-class ShortTermDetector:
-    """Per-pair loss rules + LOF over 30-second window summaries.
-
-    ``recorder`` (a :class:`~repro.obs.trace.TraceRecorder`) is optional:
-    when attached, every scored window emits a ``detect.lof`` event with
-    the LOF score and threshold so verdicts stay inspectable.
-    """
-
-    def __init__(
-        self, config: Optional[DetectorConfig] = None, recorder=None
-    ) -> None:
-        # Per-instance default (lint rule "shared-instance-default").
-        self.config = config if config is not None else DetectorConfig()
-        self.recorder = recorder
-        self._history: Dict[ProbePair, IncrementalLOF] = {}
-
-    def reset(self, pair: ProbePair) -> None:
-        """Forget a pair's baseline (its data path changed)."""
-        self._history.pop(pair, None)
-
-    def observe(self, summary: WindowSummary) -> Optional[DetectedAnomaly]:
-        """Score one closed window; returns an anomaly or ``None``."""
-        cfg = self.config
-
-        if (
-            summary.sent >= cfg.min_probes_for_unconnectivity
-            and summary.lost == summary.sent
-        ):
-            return DetectedAnomaly(
-                pair=summary.pair, detected_at=summary.window_end,
-                symptom=Symptom.UNCONNECTIVITY, detector="loss_rule",
-                score=1.0, window_start=summary.window_start,
-            )
-        if summary.sent > 0 and summary.loss_rate > cfg.loss_rate_threshold:
-            return DetectedAnomaly(
-                pair=summary.pair, detected_at=summary.window_end,
-                symptom=Symptom.PACKET_LOSS, detector="loss_rule",
-                score=summary.loss_rate, window_start=summary.window_start,
-            )
-
-        feature = summary.feature_vector()
-        if feature is None:
-            return None
-        history = self._history.setdefault(
-            summary.pair,
-            IncrementalLOF(k=cfg.lof_k, capacity=cfg.lookback_windows),
-        )
-        anomaly: Optional[DetectedAnomaly] = None
-        if len(history) >= cfg.min_history_windows:
-            score = history.score(feature)
-            shifted = self._median_shifted(history, feature)
-            if self.recorder is not None:
-                self.recorder.event(
-                    "detect.lof", sim_time=summary.window_end,
-                    pair=f"{summary.pair.src}<->{summary.pair.dst}",
-                    score=float(score), threshold=cfg.lof_threshold,
-                    median_shifted=shifted,
-                    anomalous=score > cfg.lof_threshold and shifted,
-                )
-            if score > cfg.lof_threshold and shifted:
-                anomaly = DetectedAnomaly(
-                    pair=summary.pair, detected_at=summary.window_end,
-                    symptom=Symptom.HIGH_LATENCY, detector="short_term_lof",
-                    score=score, window_start=summary.window_start,
-                )
-        if anomaly is None:
-            # Only healthy windows join the baseline.
-            history.append(feature)
-        return anomaly
-
-    def _median_shifted(
-        self, history: IncrementalLOF, feature: np.ndarray
-    ) -> bool:
-        """Whether the window's p50 rose beyond the transient tolerance."""
-        baseline_p50 = float(np.median(history.points[:, 1]))
-        if baseline_p50 <= 0:
-            return True
-        shift = (float(feature[1]) - baseline_p50) / baseline_p50
-        return shift > self.config.median_shift_threshold
-
-
-class LongTermDetector:
-    """Log-normal Z-tests over 30-minute latency aggregates.
-
-    Like the short-term detector, an optional ``recorder`` makes every
-    Z-test decision inspectable via ``detect.ztest`` events.
-    """
-
-    def __init__(
-        self, config: Optional[DetectorConfig] = None, recorder=None
-    ) -> None:
-        # Per-instance default (lint rule "shared-instance-default").
-        self.config = config if config is not None else DetectorConfig()
-        self.recorder = recorder
-        self._fits: Dict[ProbePair, LognormalFit] = {}
-
-    def reset(self, pair: ProbePair) -> None:
-        """Forget a pair's reference fit (its data path changed)."""
-        self._fits.pop(pair, None)
-
-    def reference_of(self, pair: ProbePair) -> Optional[LognormalFit]:
-        """The reference fit for ``pair``, if one has been established."""
-        return self._fits.get(pair)
-
-    def observe(
-        self,
-        pair: ProbePair,
-        window_end: float,
-        latencies: List[float],
-    ) -> Optional[DetectedAnomaly]:
-        """Test one 30-minute aggregate; the first one becomes the fit."""
-        cfg = self.config
-        if len(latencies) < cfg.min_long_samples:
-            return None
-        if pair not in self._fits:
-            self._fits[pair] = fit_lognormal(latencies)
-            return None
-        result = z_test(self._fits[pair], latencies)
-        if self.recorder is not None:
-            self.recorder.event(
-                "detect.ztest", sim_time=window_end,
-                pair=f"{pair.src}<->{pair.dst}", z=float(result.z),
-                alpha=cfg.ztest_alpha, samples=len(latencies),
-                anomalous=result.anomalous(cfg.ztest_alpha)
-                and result.z > 0,
-            )
-        if result.anomalous(cfg.ztest_alpha) and result.z > 0:
-            return DetectedAnomaly(
-                pair=pair, detected_at=window_end,
-                symptom=Symptom.HIGH_LATENCY, detector="long_term_ztest",
-                score=abs(result.z),
-                window_start=window_end - cfg.long_window_s,
-            )
-        return None
-
-
-class PairMonitor:
-    """Buffers one pair's probe results and closes windows on schedule."""
-
-    def __init__(
-        self, pair: ProbePair, config: Optional[DetectorConfig] = None
-    ) -> None:
-        self.pair = pair
-        # Per-instance default (lint rule "shared-instance-default").
-        self.config = config if config is not None else DetectorConfig()
-        self._window_start: Optional[float] = None
-        self._latencies: List[float] = []
-        self._sent = 0
-        self._lost = 0
-        self._long_series = TimeSeries(name=str(pair))
-        self._long_start: Optional[float] = None
-        self.consecutive_losses = 0
-
-    def ingest(self, result: ProbeResult) -> List[WindowSummary]:
-        """Add one probe result; returns any windows it closed."""
-        closed: List[WindowSummary] = []
-        if self._window_start is None:
-            self._window_start = result.sent_at
-            self._long_start = result.sent_at
-        while result.sent_at >= self._window_start + self.config.short_window_s:
-            closed.append(self._close_window())
-        self._sent += 1
-        if result.lost:
-            self._lost += 1
-            self.consecutive_losses += 1
-        else:
-            self.consecutive_losses = 0
-            self._latencies.append(result.latency_us)
-            self._long_series.record(result.sent_at, result.latency_us)
-        return closed
-
-    def flush(self, now: float) -> List[WindowSummary]:
-        """Close every window that ended before ``now``."""
-        closed: List[WindowSummary] = []
-        if self._window_start is None:
-            return closed
-        while now >= self._window_start + self.config.short_window_s:
-            closed.append(self._close_window())
-        return closed
-
-    def _close_window(self) -> WindowSummary:
-        start = self._window_start
-        end = start + self.config.short_window_s
-        stats = (
-            TimeSeries.describe(self._latencies) if self._latencies else None
-        )
-        summary = WindowSummary(
-            pair=self.pair, window_start=start, window_end=end,
-            sent=self._sent, lost=self._lost, stats=stats,
-        )
-        self._window_start = end
-        self._latencies = []
-        self._sent = 0
-        self._lost = 0
-        return summary
-
-    def long_window_ready(self, now: float) -> bool:
-        """Whether a 30-minute aggregate has fully elapsed."""
-        return (
-            self._long_start is not None
-            and now >= self._long_start + self.config.long_window_s
-        )
-
-    def pop_long_window(self, now: float) -> List[float]:
-        """Latencies of the elapsed long window (advances the window)."""
-        if not self.long_window_ready(now):
-            return []
-        start = self._long_start
-        end = start + self.config.long_window_s
-        values = self._long_series.window(start, end)
-        self._long_start = end
-        return values

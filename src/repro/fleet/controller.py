@@ -216,10 +216,7 @@ class FleetController:
         runtime = TenantRuntime(
             name=name,
             pairs=pairs,
-            analyzer=Analyzer(
-                config=self.spec.detector,
-                backend=self.spec.analyzer_backend,
-            ),
+            analyzer=Analyzer(config=self.spec.detector),
             localizer=Localizer(
                 self.replica.cluster, self.replica.fabric,
             ),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
 from repro.core.detection import DetectorConfig
@@ -141,7 +141,6 @@ class FleetSpec:
     #: Global probes-per-round budget shared by every admitted tenant.
     probe_budget_per_round: int = 256
     chunk_rounds: int = 5
-    analyzer_backend: str = "columnar"
     detector: Optional[DetectorConfig] = None
     tenants: Tuple[TenantSpec, ...] = ()
     #: Network fault schedule (round-numbered, replayable); targets are
@@ -150,6 +149,9 @@ class FleetSpec:
     #: Monitor-plane (chaos) schedule applied to every tenant's probe
     #: path; empty keeps the unhardened direct-batch path.
     monitor_faults: Tuple[MonitorFaultSpec, ...] = ()
+    #: The detection implementation every tenant runs (a constant, not
+    #: a field: there is one analyzer).
+    analyzer_backend: ClassVar[str] = "columnar"
 
     def __post_init__(self) -> None:
         if self.total_rounds < 1:

@@ -10,21 +10,17 @@ argument, Figures 15-17):
   against :meth:`~repro.network.fabric.DataPlaneFabric.send_probe_batch`
   with caches warm (the production configuration).
 * **Detector windows** — the per-window work of the short-term
-  detector, measured with the legacy per-pair object path (a
-  :meth:`~repro.sim.metrics.TimeSeries.describe` summary +
-  :meth:`~repro.core.detection.ShortTermDetector.observe` per window)
-  against the columnar engine
+  detector in the columnar engine
   (:class:`~repro.core.columnar.ColumnarDetectionEngine`), which queues
   every pair's closed window and scores one flush-sized batch across
-  all pairs at once.
+  all pairs at once.  Its LOF scores are pinned to the full-rebuild
+  reference :func:`~repro.analysis.lof.lof_score_of_new_point`
+  (``score_drift``).
 
 Before timing anything, :func:`verify_equivalence` replays one round
 both ways on identically seeded scenarios and insists on bit-identical
-:class:`~repro.network.packet.ProbeResult` streams, and
-:func:`verify_detector_equivalence` runs the full analyzer on both
-backends over a loss-and-spike probe stream and insists on identical
-anomaly/event histories (scores within 1e-10) — a fast path is only a
-fast path if it changes nothing but the clock.
+:class:`~repro.network.packet.ProbeResult` streams — a fast path is only
+a fast path if it changes nothing but the clock.
 
 Wall-clock measurement uses ``time.perf_counter`` (monotonic interval
 timing is determinism-lint clean; only calendar time is banned).
@@ -39,17 +35,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.lof import IncrementalLOF
+from repro.analysis.lof import lof_score_of_new_point
 from repro.cluster.identifiers import EndpointId
-from repro.core.analyzer import Analyzer
 from repro.core.columnar import ColumnarDetectionEngine
-from repro.core.detection import (
-    DetectorConfig,
-    ShortTermDetector,
-    WindowSummary,
-)
+from repro.core.detection import DetectorConfig
 from repro.core.pinglist import ProbePair
-from repro.network.packet import ProbeResult
 from repro.sim.metrics import TimeSeries
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import MonitoredScenario, build_scenario
@@ -59,7 +49,6 @@ __all__ = [
     "bench_probing",
     "format_report",
     "run_benchmark",
-    "verify_detector_equivalence",
     "verify_equivalence",
 ]
 
@@ -205,7 +194,7 @@ def _detector_windows(
 
     Continuous draws (no exact duplicates) so kNN neighbour sets are
     unambiguous; occasional 3x median shifts exercise the LOF anomaly
-    branch in both implementations.
+    branch.
     """
     rng = RngRegistry(seed).stream("bench.detector")
     lats = 18.0 + 2.0 * rng.random(
@@ -222,23 +211,16 @@ def bench_detector(
     probes_per_window: int = 8,
     seed: int = 0,
 ) -> Dict[str, float]:
-    """Time legacy per-pair window scoring vs the columnar engine.
+    """Time the columnar engine's batched window scoring.
 
     Replays the short-term detector's per-window work for ``num_pairs``
-    monitored pairs over ``windows_per_pair`` flushes:
+    monitored pairs over ``windows_per_pair`` flushes: every pair's
+    closed window is enqueued into the :class:`ColumnarDetectionEngine`
+    and scored by one batched ``collect`` per flush.
 
-    * legacy — per pair per window, a :meth:`TimeSeries.describe`
-      summary, a :class:`WindowSummary`, and
-      :meth:`ShortTermDetector.observe` (LOF + median shift + baseline
-      admit), exactly as ``Analyzer(backend="legacy")`` does it;
-    * columnar — every pair's closed window enqueued into the
-      :class:`ColumnarDetectionEngine` and one batched ``collect`` per
-      flush.
-
-    A separate untimed pass replays the columnar run in full-verdict
-    mode and pins every LOF score to an :class:`IncrementalLOF`
-    reference (the legacy detector's state), reporting the max
-    ``score_drift``.
+    A separate untimed pass replays the same windows in full-verdict
+    mode and pins every LOF score to the full-rebuild reference,
+    reporting the max ``score_drift``.
     """
     cfg = DetectorConfig()
     pairs = _detector_pairs(num_pairs)
@@ -249,23 +231,7 @@ def bench_detector(
 
     gc.collect()
     start = time.perf_counter()
-    legacy_anomalies = 0
-    detector = ShortTermDetector(cfg)
-    for p, pair in enumerate(pairs):
-        for w in range(windows_per_pair):
-            stats = TimeSeries.describe(lats[p, w])
-            summary = WindowSummary(
-                pair=pair, window_start=w * window_s,
-                window_end=(w + 1) * window_s,
-                sent=probes_per_window, lost=0, stats=stats,
-            )
-            if detector.observe(summary) is not None:
-                legacy_anomalies += 1
-    legacy_s = time.perf_counter() - start
-
-    gc.collect()
-    start = time.perf_counter()
-    columnar_anomalies = 0
+    anomalies = 0
     engine = ColumnarDetectionEngine(cfg)
     for w in range(windows_per_pair):
         for pair, row_lats in zip(pairs, lats[:, w]):
@@ -275,40 +241,38 @@ def bench_detector(
             )
         for verdict in engine.collect():
             if verdict.anomaly is not None:
-                columnar_anomalies += 1
+                anomalies += 1
     columnar_s = time.perf_counter() - start
 
-    if legacy_anomalies != columnar_anomalies:
+    drift, reference_anomalies = _detector_score_drift(cfg, pairs, lats)
+    if reference_anomalies != anomalies:
         raise AssertionError(
-            f"detector benchmark diverged: legacy flagged "
-            f"{legacy_anomalies} windows, columnar {columnar_anomalies}"
+            f"detector benchmark diverged: reference flagged "
+            f"{reference_anomalies} windows, columnar {anomalies}"
         )
-    drift = _detector_score_drift(cfg, pairs, lats)
 
     windows = num_pairs * windows_per_pair
     return {
         "pairs": num_pairs,
         "windows_per_pair": windows_per_pair,
-        "anomalies": legacy_anomalies,
-        "legacy_s": legacy_s,
+        "anomalies": anomalies,
         "columnar_s": columnar_s,
-        "legacy_windows_per_s": windows / max(legacy_s, 1e-9),
         "columnar_windows_per_s": windows / max(columnar_s, 1e-9),
-        "speedup": legacy_s / max(columnar_s, 1e-9),
         "score_drift": drift,
     }
 
 
 def _detector_score_drift(
     cfg: DetectorConfig, pairs: List[ProbePair], lats: np.ndarray
-) -> float:
+) -> Tuple[float, int]:
     """Max |columnar - reference| LOF score over every scored window.
 
-    The reference replays the legacy detector's exact state machine
-    (scores against an :class:`IncrementalLOF`, anomalous windows kept
-    out of the baseline); the columnar engine replays the same windows
-    in full-verdict mode.  Also insists both sides score the *same*
-    windows with the same verdicts.
+    The reference replays the short-term detector's state machine per
+    pair — scores from :func:`lof_score_of_new_point` rebuilt over the
+    rolling look-back, anomalous windows kept out of the baseline —
+    while the columnar engine replays the same windows in full-verdict
+    mode.  Also insists both sides score the *same* windows; returns
+    the drift and the reference's anomaly count.
     """
     windows_per_pair = lats.shape[1]
     window_s = cfg.short_window_s
@@ -327,16 +291,18 @@ def _detector_score_drift(
             )
     drift = 0.0
     scored = 0
+    anomalies = 0
     for p, pair in enumerate(pairs):
-        inc = IncrementalLOF(k=cfg.lof_k, capacity=cfg.lookback_windows)
+        history: List[np.ndarray] = []
         for w in range(windows_per_pair):
             vec = np.asarray(
                 TimeSeries.describe(lats[p, w]).as_vector()
             )
             anomalous = False
-            if len(inc) >= cfg.min_history_windows:
-                score = inc.score(vec)
-                base = float(np.median(inc.points[:, 1]))
+            if len(history) >= cfg.min_history_windows:
+                points = np.vstack(history)
+                score = lof_score_of_new_point(points, vec, k=cfg.lof_k)
+                base = float(np.median(points[:, 1]))
                 shifted = base <= 0 or (
                     (float(vec[1]) - base) / base
                     > cfg.median_shift_threshold
@@ -345,121 +311,22 @@ def _detector_score_drift(
                 got = columnar.get((pair, (w + 1) * window_s))
                 if got is None:
                     raise AssertionError(
-                        f"columnar skipped a window the legacy "
-                        f"detector scored: pair {pair}, window {w}"
+                        f"columnar skipped a window the reference "
+                        f"scored: pair {pair}, window {w}"
                     )
                 drift = max(drift, abs(got - score))
                 scored += 1
-            if not anomalous:
-                inc.append(vec)
+            if anomalous:
+                anomalies += 1
+            else:
+                history.append(vec)
+                del history[:-cfg.lookback_windows]
     if scored != len(columnar):
         raise AssertionError(
-            f"columnar scored {len(columnar)} windows, the legacy "
-            f"reference {scored}"
+            f"columnar scored {len(columnar)} windows, the reference "
+            f"{scored}"
         )
-    return drift
-
-
-def verify_detector_equivalence(
-    num_pairs: int = 48,
-    rounds: int = 240,
-    seed: int = 7,
-    probe_interval_s: float = 5.0,
-) -> Dict[str, float]:
-    """Assert both analyzer backends agree verdict-for-verdict.
-
-    Feeds an identical probe stream — healthy latency noise, one pair
-    with a mid-run loss burst, one with a latency shift, plus a
-    mid-stream ``reset_pairs_involving`` churn — through
-    ``Analyzer(backend="legacy")`` and ``Analyzer(backend="columnar")``
-    and compares the full anomaly and event histories.  Raises
-    ``AssertionError`` on any divergence; returns comparison counts and
-    the max score drift.
-    """
-    rng = RngRegistry(seed).stream("verify.detector")
-    endpoints = [f"vd-{i}" for i in range(2 * num_pairs)]
-    pair_ids = [
-        (endpoints[2 * i], endpoints[2 * i + 1])
-        for i in range(num_pairs)
-    ]
-    lossy = pair_ids[num_pairs // 3]
-    shifted = pair_ids[2 * num_pairs // 3]
-    loss_draws = rng.random((rounds, num_pairs))
-    lat_draws = rng.random((rounds, num_pairs))
-
-    def run(backend: str) -> Analyzer:
-        analyzer = Analyzer(
-            config=DetectorConfig(
-                long_window_s=300.0, min_long_samples=20
-            ),
-            backend=backend,
-        )
-        for r in range(rounds):
-            at = r * probe_interval_s
-            for i, (src, dst) in enumerate(pair_ids):
-                burst = (src, dst) == lossy and 400 <= at < 700
-                slow = (src, dst) == shifted and at >= 600
-                lost = bool(
-                    loss_draws[r, i] < (0.9 if burst else 0.002)
-                )
-                latency = (
-                    None if lost
-                    else (18.0 + 2.0 * lat_draws[r, i])
-                    * (2.5 if slow else 1.0)
-                )
-                analyzer.ingest(ProbeResult(
-                    src=src, dst=dst, sent_at=at,
-                    lost=lost, latency_us=latency,
-                ))
-            if r == rounds // 2:
-                analyzer.reset_pairs_involving([shifted[0]], at)
-            analyzer.flush(at)
-        analyzer.flush(rounds * probe_interval_s)
-        return analyzer
-
-    legacy = run("legacy")
-    columnar = run("columnar")
-
-    def anomaly_keys(analyzer: Analyzer) -> List[tuple]:
-        return sorted(
-            (a.pair, a.detected_at, a.symptom.value, a.detector,
-             a.window_start)
-            for a in analyzer.anomalies
-        )
-
-    def event_keys(analyzer: Analyzer) -> List[tuple]:
-        return sorted(
-            (e.pair, e.first_detected_at, e.symptom.value,
-             e.resolved_at, len(e.anomalies))
-            for e in analyzer.events
-        )
-
-    if anomaly_keys(legacy) != anomaly_keys(columnar):
-        raise AssertionError(
-            "columnar and legacy analyzers flagged different anomalies"
-        )
-    if event_keys(legacy) != event_keys(columnar):
-        raise AssertionError(
-            "columnar and legacy analyzers opened different events"
-        )
-    reference = {
-        (a.pair, a.detected_at, a.detector): a.score
-        for a in legacy.anomalies
-    }
-    drift = max(
-        (
-            abs(reference[(a.pair, a.detected_at, a.detector)] - a.score)
-            for a in columnar.anomalies
-        ),
-        default=0.0,
-    )
-    return {
-        "pairs": num_pairs,
-        "rounds": rounds,
-        "anomalies_compared": len(legacy.anomalies),
-        "events_compared": len(legacy.events),
-        "score_drift": drift,
-    }
+    return drift, anomalies
 
 
 def run_benchmark(
@@ -474,16 +341,11 @@ def run_benchmark(
     )
     rounds = 1 if quick else 3
     compared = verify_equivalence()
-    detector_eq = verify_detector_equivalence(
-        num_pairs=16 if quick else 48,
-        rounds=120 if quick else 240,
-    )
     report: Dict[str, object] = {
         "benchmark": "probing-fast-path",
         "quick": quick,
         "seed": seed,
         "equivalence_results_compared": compared,
-        "detector_equivalence": detector_eq,
         "probing": [
             bench_probing(size, rounds=rounds, seed=seed)
             for size in chosen
@@ -517,29 +379,20 @@ def format_report(report: Dict[str, object]) -> str:
             f"{row['speedup']:>8.1f}x"
         )
     lines.append(
-        "detector windows (per-pair objects vs columnar batches):"
+        "detector windows (columnar batches, drift vs full-rebuild LOF):"
     )
     lines.append(
-        f"  {'pairs':>10} {'legacy win/s':>14} {'columnar win/s':>15} "
-        f"{'speedup':>9} {'drift':>10}"
+        f"  {'pairs':>10} {'columnar win/s':>15} {'drift':>10}"
     )
     for row in report["detector"]:
         lines.append(
-            f"  {row['pairs']:>10} {row['legacy_windows_per_s']:>14.0f} "
+            f"  {row['pairs']:>10} "
             f"{row['columnar_windows_per_s']:>15.0f} "
-            f"{row['speedup']:>8.1f}x {row['score_drift']:>10.1e}"
+            f"{row['score_drift']:>10.1e}"
         )
     lines.append(
         "equivalence: "
         f"{report['equivalence_results_compared']} results compared, "
         "batch == sequential"
     )
-    eq = report.get("detector_equivalence")
-    if eq:
-        lines.append(
-            "detector equivalence: "
-            f"{eq['anomalies_compared']} anomalies / "
-            f"{eq['events_compared']} events compared, "
-            f"columnar == legacy (drift {eq['score_drift']:.1e})"
-        )
     return "\n".join(lines)

@@ -14,7 +14,6 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.identifiers import LinkId
@@ -138,7 +137,6 @@ def verify_shard_equivalence(
     spec: Optional[ShardScenarioSpec] = None,
     shard_counts: Tuple[int, ...] = (2, 4),
     backends: Tuple[str, ...] = ("inproc",),
-    analyzer_backends: Tuple[str, ...] = ("columnar", "legacy"),
     with_failover: bool = True,
     chunk_rounds: int = 5,
 ) -> Dict[str, object]:
@@ -147,11 +145,7 @@ def verify_shard_equivalence(
     Compares a ``--shards 1`` in-process baseline against every
     (shard count, backend) combination, plus — with ``with_failover``
     — a 4-shard run where one shard is killed mid-run and its pairs
-    fail over.  ``analyzer_backends`` additionally pins the columnar
-    detection engine to the legacy per-pair reference: any analyzer
-    backend differing from the spec's is run at one shard and at every
-    shard count and must open identical events, verdicts, and vote
-    tables.  Returns a summary of what was compared.
+    fail over.  Returns a summary of what was compared.
     """
     spec = spec if spec is not None else default_equivalence_spec()
     baseline = run_plane(spec, 1, "inproc", chunk_rounds=chunk_rounds)
@@ -161,20 +155,6 @@ def verify_shard_equivalence(
             label = f"shards={num_shards} backend={backend}"
             candidate = run_plane(
                 spec, num_shards, backend, chunk_rounds=chunk_rounds
-            )
-            _compare(baseline, candidate, label)
-            compared.append(label)
-    for analyzer_backend in analyzer_backends:
-        if analyzer_backend == spec.analyzer_backend:
-            continue
-        variant = replace(spec, analyzer_backend=analyzer_backend)
-        for num_shards in (1,) + tuple(shard_counts):
-            label = (
-                f"shards={num_shards} analyzer={analyzer_backend}"
-            )
-            candidate = run_plane(
-                variant, num_shards, "inproc",
-                chunk_rounds=chunk_rounds,
             )
             _compare(baseline, candidate, label)
             compared.append(label)

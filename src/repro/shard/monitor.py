@@ -136,10 +136,7 @@ class ShardMonitor:
         self.ping_list = PingList(pairs=set(self.pairs), phase="shard")
         for container_id in self.scenario.task.containers:
             self.ping_list.register(container_id)
-        self.analyzer = Analyzer(
-            config=self.spec.detector,
-            backend=self.spec.analyzer_backend,
-        )
+        self.analyzer = Analyzer(config=self.spec.detector)
         # Monitor-plane chaos: the injector is pure and its fault ids
         # are pinned by the spec, so rebuilding it here (fresh breakers
         # included) before a failover replay reproduces the exact

@@ -21,7 +21,7 @@ every replica regardless of which pairs it monitors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.cluster.identifiers import ContainerId
@@ -111,16 +111,15 @@ class ShardScenarioSpec:
     #: and keeps every shard on the original, unhardened probe path.
     monitor_faults: Tuple[MonitorFaultSpec, ...] = ()
     detector: Optional[DetectorConfig] = None
-    #: Which analyzer backend every shard builds ("columnar" or
-    #: "legacy").  Part of the spec so a failover replica — or a
-    #: cross-backend equivalence run — rebuilds the exact analyzer the
-    #: original shard used.
-    analyzer_backend: str = "columnar"
     #: ECMP mode every replica's fabric runs in ("static" or "spray").
-    #: Part of the spec for the same reason as the backend: a spraying
-    #: run's probe outcomes draw a sixth per-probe column, so a replica
-    #: rebuilt in the wrong mode would diverge bit-wise.
+    #: Part of the spec so a failover replica rebuilds the original
+    #: shard's fabric: a spraying run's probe outcomes draw a sixth
+    #: per-probe column, so a replica rebuilt in the wrong mode would
+    #: diverge bit-wise.
     ecmp_mode: str = "static"
+    #: The detection implementation every shard runs (a constant, not a
+    #: field: there is one analyzer).
+    analyzer_backend: ClassVar[str] = "columnar"
 
     def round_time(self, round_index: int) -> float:
         """Simulated time of round ``round_index`` (rounds are 1-based,

@@ -1,41 +1,43 @@
-"""Tests for the incrementally maintained LOF reference set.
+"""Tests for the rolling-window LOF the detector maintains.
 
-The contract: :class:`IncrementalLOF` over a rolling window scores every
-candidate identically (to float rounding) to rebuilding
+The contract: scoring each new window against the pair's rolling
+look-back with the batched kernel (:func:`lof_scores_fixed_batch`, what
+the columnar engine runs) gives exactly the score of rebuilding
 :func:`lof_score_of_new_point` from the same window — the detector
-swapped implementations, not semantics.
+batches the work, not the semantics — and the engine's ring-buffered
+baseline evicts its oldest window first.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.lof import IncrementalLOF, lof_score_of_new_point
+from repro.analysis.lof import lof_score_of_new_point, lof_scores_fixed_batch
+from repro.core.columnar import ColumnarDetectionEngine
+from repro.core.detection import DetectorConfig
+from repro.core.pinglist import ProbePair
+from repro.sim.metrics import TimeSeries
 
 
-def _reference_scores(stream, k, lookback):
-    """Scores from the legacy full-rebuild path over a rolling window."""
+def _rolling_scores(stream, k, lookback, score):
+    """``score(history, vec)`` for each vector over a rolling window."""
     scores = []
     history = []
     for vec in stream:
-        if len(history) >= 2:
-            scores.append(
-                lof_score_of_new_point(np.vstack(history), vec, k=k)
-            )
-        else:
-            scores.append(1.0)
+        scores.append(score(np.vstack(history), vec) if history else 1.0)
         history.append(vec)
         if len(history) > lookback:
             history.pop(0)
     return scores
 
 
-def _incremental_scores(stream, k, lookback):
-    inc = IncrementalLOF(k=k, capacity=lookback)
-    scores = []
-    for vec in stream:
-        scores.append(inc.score(vec))
-        inc.append(vec)
-    return scores
+def _reference(k):
+    return lambda hist, vec: lof_score_of_new_point(hist, vec, k=k)
+
+
+def _batched(k):
+    return lambda hist, vec: float(
+        lof_scores_fixed_batch(hist[None], vec[None], k=k)[0]
+    )
 
 
 class TestAgainstReference:
@@ -46,75 +48,68 @@ class TestAgainstReference:
     def test_rolling_window_scores_match(self, k, lookback):
         rng = np.random.default_rng(42)
         stream = 18.0 + rng.random((120, 7))
-        expected = _reference_scores(stream, k, lookback)
-        actual = _incremental_scores(stream, k, lookback)
-        np.testing.assert_allclose(actual, expected, rtol=1e-9)
-
-    def test_matches_above_fused_threshold(self):
-        # Capacity past _FUSED_MAX exercises the selective-refresh path.
-        lookback = IncrementalLOF._FUSED_MAX + 8
-        rng = np.random.default_rng(7)
-        stream = rng.normal(0.0, 1.0, size=(3 * lookback, 4))
-        expected = _reference_scores(stream, 5, lookback)
-        actual = _incremental_scores(stream, 5, lookback)
-        np.testing.assert_allclose(actual, expected, rtol=1e-9)
+        expected = _rolling_scores(stream, k, lookback, _reference(k))
+        actual = _rolling_scores(stream, k, lookback, _batched(k))
+        np.testing.assert_array_equal(actual, expected)
 
     def test_outlier_still_stands_out(self):
         rng = np.random.default_rng(3)
-        inc = IncrementalLOF(k=5, capacity=20)
-        for vec in rng.normal(0.0, 1.0, size=(20, 3)):
-            inc.append(vec)
-        assert inc.score(np.full(3, 12.0)) > 3.0
-        assert inc.score(np.zeros(3)) < 2.0
+        hist = rng.normal(0.0, 1.0, size=(20, 3))
+        scores = lof_scores_fixed_batch(
+            np.stack([hist, hist]),
+            np.stack([np.full(3, 12.0), np.zeros(3)]), k=5,
+        )
+        assert scores[0] > 3.0
+        assert scores[1] < 2.0
 
 
 class TestRollingState:
-    def test_unbounded_without_capacity(self):
-        inc = IncrementalLOF(k=3)
-        for i in range(100):
-            inc.append([float(i), 0.0])
-        assert len(inc) == 100
-
     def test_capacity_evicts_oldest_first(self):
-        inc = IncrementalLOF(k=2, capacity=4)
-        for i in range(7):
-            inc.append([float(i), 1.0])
-        assert len(inc) == 4
-        assert inc.points[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
+        # A huge threshold keeps every window healthy, so each one
+        # joins the four-window baseline.
+        config = DetectorConfig(
+            lookback_windows=4, min_history_windows=4, lof_k=2,
+            lof_threshold=1e12,
+        )
+        engine = ColumnarDetectionEngine(config)
+        pair = ProbePair.canonical("lof-a", "lof-b")
+        rng = np.random.default_rng(5)
+        windows = [10.0 + i + rng.random(8) for i in range(8)]
+        for i, lats in enumerate(windows):
+            engine.enqueue_window(
+                pair, i * 30.0, (i + 1) * 30.0, 8, 0, lats
+            )
+        scored = [
+            v for v in engine.collect(full=True) if v.score is not None
+        ]
+        features = [
+            np.asarray(TimeSeries.describe(lats).as_vector())
+            for lats in windows
+        ]
+        assert engine.history_len(pair) == 4
+        # The last window is scored against windows 3..6 — the oldest
+        # three were evicted in arrival order.
+        expected = lof_score_of_new_point(
+            np.vstack(features[3:7]), features[7], k=2
+        )
+        assert scored[-1].score == pytest.approx(expected, abs=1e-10)
+        stale = lof_score_of_new_point(
+            np.vstack(features[:4]), features[7], k=2
+        )
+        assert scored[-1].score != pytest.approx(stale, abs=1e-6)
 
     def test_fewer_than_two_points_score_neutral(self):
-        inc = IncrementalLOF(k=3)
-        assert inc.score([1.0, 2.0]) == 1.0
-        inc.append([0.0, 0.0])
-        assert inc.score([1.0, 2.0]) == 1.0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            IncrementalLOF(k=0)
-        with pytest.raises(ValueError):
-            IncrementalLOF(k=2, capacity=1)
+        cand = np.array([[1.0, 2.0]])
+        assert lof_scores_fixed_batch(
+            np.empty((1, 0, 2)), cand, k=3
+        ).tolist() == [1.0]
+        assert lof_scores_fixed_batch(
+            np.zeros((1, 1, 2)), cand, k=3
+        ).tolist() == [1.0]
 
 
 class TestFixedBatch:
-    def test_matches_incremental_per_row(self):
-        from repro.analysis.lof import lof_scores_fixed_batch
-
-        rng = np.random.default_rng(3)
-        batch, n, dim, k = 6, 7, 5, 3
-        histories = 10.0 + rng.random((batch, n, dim))
-        candidates = 10.0 + rng.random((batch, dim))
-        scores = lof_scores_fixed_batch(histories, candidates, k=k)
-        for b in range(batch):
-            inc = IncrementalLOF(k=k)
-            for point in histories[b]:
-                inc.append(point)
-            assert scores[b] == pytest.approx(
-                inc.score(candidates[b]), abs=1e-10
-            )
-
     def test_small_histories_score_neutral(self):
-        from repro.analysis.lof import lof_scores_fixed_batch
-
         rng = np.random.default_rng(4)
         hist = rng.random((3, 1, 2))
         scores = lof_scores_fixed_batch(hist, rng.random((3, 2)), k=2)
@@ -124,8 +119,6 @@ class TestFixedBatch:
         ).size == 0
 
     def test_shape_validation(self):
-        from repro.analysis.lof import lof_scores_fixed_batch
-
         with pytest.raises(ValueError):
             lof_scores_fixed_batch(
                 np.ones((2, 3)), np.ones((2, 3))

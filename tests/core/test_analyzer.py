@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.core.analyzer import VALID_BACKENDS, Analyzer
+from repro.core.analyzer import Analyzer
 from repro.core.detection import DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
@@ -77,7 +77,7 @@ class TestIncidentLifecycle:
         assert len(analyzer.events[0].anomalies) >= 2
 
     def test_event_resolves_after_recovery(self):
-        analyzer = Analyzer(resolve_after_s=60.0)
+        analyzer = Analyzer()
         pair = make_pair()
         feed_lost(analyzer, pair, 0.0, 30.0)
         feed_healthy(analyzer, pair, 30.0, 200.0)
@@ -159,17 +159,3 @@ class TestPathChangeReset:
         # 10 us baseline; after it they simply become the new normal.
         assert analyzer.open_events() == []
 
-
-class TestBackendSelection:
-    @pytest.mark.parametrize("backend", VALID_BACKENDS)
-    def test_valid_backends_construct(self, backend):
-        analyzer = Analyzer(DetectorConfig(), backend=backend)
-        assert analyzer.backend == backend
-
-    def test_unknown_backend_raises_with_valid_names(self):
-        with pytest.raises(ValueError) as excinfo:
-            Analyzer(DetectorConfig(), backend="pandas")
-        message = str(excinfo.value)
-        assert "pandas" in message
-        for backend in VALID_BACKENDS:
-            assert backend in message

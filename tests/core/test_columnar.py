@@ -241,10 +241,6 @@ class TestAnalyzerColumnarWiring:
     def test_default_backend_is_columnar(self):
         assert Analyzer().backend == "columnar"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            Analyzer(backend="sideways")
-
     def test_window_anomalies_surface_at_flush(self):
         analyzer = Analyzer()
         pair = pair_of()

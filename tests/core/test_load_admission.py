@@ -43,13 +43,13 @@ class _StubFabric:
         return self.distributions.get((src, dst), [])
 
 
-def _filter(**kwargs):
+def _filter():
     model = LinkLoadModel({_HOT: 4.0, _COOL: 1.0})
     fabric = _StubFabric({
         ("a", "b"): [_HOT_PATH],
         ("c", "d"): [_COOL_PATH],
     })
-    return LoadConditionedAdmission(model, fabric, **kwargs), fabric
+    return LoadConditionedAdmission(model, fabric), fabric
 
 
 def _anomaly(pair, symptom, score, detector="short_term_lof"):
@@ -74,9 +74,9 @@ class TestAdmission:
         assert admission.admit(anomaly, base_threshold=4.5)
 
     def test_hot_path_latency_needs_headroom(self):
-        admission, _ = _filter(hot_utilization=0.7, headroom=1.5)
+        admission, _ = _filter()
         # The hot pair's bottleneck utilization is 1.0, so the required
-        # score is base * (1 + headroom) = 4.5 * 2.5.
+        # score is base * (1 + LOAD_HEADROOM) = 4.5 * 2.5.
         weak = _anomaly(_HOT_PAIR, Symptom.HIGH_LATENCY, score=5.0)
         strong = _anomaly(
             _HOT_PAIR, Symptom.HIGH_LATENCY, score=4.5 * 2.5
@@ -85,7 +85,7 @@ class TestAdmission:
         assert admission.admit(strong, base_threshold=4.5)
 
     def test_ztest_detector_uses_its_own_base(self):
-        admission, _ = _filter(ztest_base=3.9, headroom=1.5)
+        admission, _ = _filter()
         anomaly = _anomaly(
             _HOT_PAIR, Symptom.HIGH_LATENCY, score=5.0,
             detector="long_term_ztest",

@@ -1,10 +1,13 @@
-"""Property test: the columnar analyzer backend equals the legacy one.
+"""Property test: the analyzer equals the eager reference analyzer.
 
 For any probe stream — loss bursts, latency shifts, all-lost windows,
 pairs that appear mid-run, and mid-stream ``reset_pairs_involving``
-churn — both backends must produce the same per-pair
-:class:`DetectedAnomaly` sequence and the same incident history, with
-scores within the documented 1e-10 drift (see docs/PERFORMANCE.md).
+churn — the production (columnar, batch-scored) analyzer must produce
+the same per-pair :class:`DetectedAnomaly` sequence and the same
+incident history as the eager per-pair reference in
+``tests/oracle/reference_analyzer.py`` (the retired per-pair detector's
+semantics), with scores within the documented 1e-10 drift (see
+docs/PERFORMANCE.md).
 """
 
 import random
@@ -15,6 +18,11 @@ from hypothesis import strategies as st
 from repro.core.analyzer import Analyzer
 from repro.core.detection import DetectorConfig
 from repro.network.packet import ProbeResult
+
+from tests.oracle.reference_analyzer import (
+    ReferenceAnalyzer,
+    assert_same_verdicts,
+)
 
 SCORE_TOL = 1e-10
 
@@ -36,7 +44,7 @@ def probe_scenarios(draw):
             st.integers(min_value=2, max_value=4)
         ),
         # 1.5 makes partially/fully lost small windows "healthy",
-        # exercising the stats=None verdict path on both backends.
+        # exercising the stats=None verdict path on both analyzers.
         loss_rate_threshold=draw(st.sampled_from([0.01, 1.5])),
     )
     return {
@@ -54,10 +62,9 @@ def probe_scenarios(draw):
     }
 
 
-def _run_backend(backend, scenario):
+def _run(analyzer, scenario):
     rng = random.Random(scenario["seed"])
     cfg = scenario["config"]
-    analyzer = Analyzer(config=cfg, backend=backend)
     num_pairs = scenario["num_pairs"]
     rounds = scenario["rounds"]
     interval = scenario["interval"]
@@ -94,41 +101,12 @@ def _run_backend(backend, scenario):
     return analyzer
 
 
-def _per_pair_sequences(analyzer):
-    sequences = {}
-    for anomaly in analyzer.anomalies:
-        sequences.setdefault(anomaly.pair, []).append(anomaly)
-    return sequences
-
-
 @settings(max_examples=20, deadline=None)
 @given(probe_scenarios())
 def test_columnar_equals_legacy_verdict_for_verdict(scenario):
-    legacy = _run_backend("legacy", scenario)
-    columnar = _run_backend("columnar", scenario)
+    cfg = scenario["config"]
+    reference = _run(ReferenceAnalyzer(cfg), scenario)
+    columnar = _run(Analyzer(config=cfg), scenario)
 
-    legacy_seq = _per_pair_sequences(legacy)
-    columnar_seq = _per_pair_sequences(columnar)
-    assert set(legacy_seq) == set(columnar_seq)
-    for pair, expected in legacy_seq.items():
-        got = columnar_seq[pair]
-        assert [
-            (a.detected_at, a.symptom, a.detector, a.window_start)
-            for a in got
-        ] == [
-            (a.detected_at, a.symptom, a.detector, a.window_start)
-            for a in expected
-        ], f"anomaly sequence diverged for {pair}"
-        for mine, theirs in zip(got, expected):
-            assert abs(mine.score - theirs.score) <= SCORE_TOL
-
-    assert sorted(
-        (e.pair, e.first_detected_at, e.symptom.value, e.resolved_at,
-         len(e.anomalies))
-        for e in columnar.events
-    ) == sorted(
-        (e.pair, e.first_detected_at, e.symptom.value, e.resolved_at,
-         len(e.anomalies))
-        for e in legacy.events
-    )
-    assert columnar.monitored_pairs() == legacy.monitored_pairs()
+    assert_same_verdicts(columnar, reference, SCORE_TOL)
+    assert columnar.monitored_pairs() == reference.monitored_pairs()
