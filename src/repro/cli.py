@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_shard.add_argument(
         "--quick", action="store_true",
-        help="small sizes (the CI smoke mode; no speedup gate)",
+        help="small sizes (the CI smoke mode; no round-time gate)",
     )
     bench_shard.add_argument(
         "--out", default="BENCH_shard.json",
@@ -817,7 +817,11 @@ def _run_shard_status(args: argparse.Namespace) -> int:
 
 
 def _run_bench_shard(args: argparse.Namespace) -> int:
-    from repro.shard.bench import format_report, run_shard_benchmark
+    from repro.shard.bench import (
+        FULL_ROUND_S_BOUND,
+        format_report,
+        run_shard_benchmark,
+    )
 
     try:
         report = run_shard_benchmark(
@@ -829,18 +833,14 @@ def _run_bench_shard(args: argparse.Namespace) -> int:
         return 1
     print(format_report(report))
     print(f"wrote {args.out}")
-    if not args.quick:
-        slow = [
-            row for row in report["scaling"]
-            if row["shards"] == 4 and row["backend"] == "inproc"
-            and row["speedup"] < 2.0
-        ]
-        if slow:
-            print(
-                "REGRESSION: 4-shard probe rounds are less than 2x "
-                "the single-shard throughput", file=sys.stderr,
-            )
-            return 1
+    single = report["scaling"][0]
+    if not args.quick and single["round_s"] > FULL_ROUND_S_BOUND:
+        print(
+            f"REGRESSION: a warm 1-shard in-process round took "
+            f"{single['round_s']:.2f} s at {report['endpoints']} "
+            f"endpoints (bound {FULL_ROUND_S_BOUND} s)", file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -105,11 +105,7 @@ class OverlayAgent:
 
     def my_pairs(self) -> List[ProbePair]:
         """Active pairs whose canonical source belongs to this container."""
-        mine = set(self.endpoints)
-        return [
-            pair for pair in self.ping_list.active_pairs()
-            if pair.src in mine
-        ]
+        return self.ping_list.active_pairs_from(self.endpoints)
 
     def register(self) -> None:
         """Announce this container so peers activate it as a target."""

@@ -13,12 +13,20 @@ SkeletonHunter builds its probing matrix in three phases:
    activation would raise while containers are still starting up.
 3. **Runtime** — once traffic skeletons are inferred, restrict the list
    to pairs the training traffic actually traverses (>95% further cut).
+
+Every agent asks for its own active pairs every round, so the list keeps
+a lazily built index of them: the sorted active pairs plus a map from
+source endpoint to that source's pairs.  The index is dropped only when
+the registration set changes or ``pairs`` is reassigned; ``pairs`` is a
+``frozenset`` so it cannot be mutated in place behind the index's back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.cluster.identifiers import ContainerId, EndpointId
 
@@ -65,13 +73,32 @@ class PingListPhase:
     SKELETON = "skeleton"    # runtime: traffic-skeleton pruning
 
 
+#: The active-pair index: every active pair sorted, and each source
+#: endpoint's active pairs in that same order.
+_ActiveIndex = Tuple[
+    Tuple[ProbePair, ...], Dict[EndpointId, List[ProbePair]]
+]
+
+
 @dataclass
 class PingList:
     """A set of probe pairs plus data-plane activation state."""
 
-    pairs: Set[ProbePair] = field(default_factory=set)
+    pairs: FrozenSet[ProbePair] = frozenset()
     phase: str = PingListPhase.BASIC
     _registered: Set[ContainerId] = field(default_factory=set)
+    _index: Optional[_ActiveIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # Reassigning either set drops the active-pair index; pairs are
+        # frozen so that reassignment is the only way to change them.
+        if name == "pairs":
+            value = frozenset(value)
+        if name in ("pairs", "_registered"):
+            super().__setattr__("_index", None)
+        super().__setattr__(name, value)
 
     # ------------------------------------------------------------------
     # Construction
@@ -143,11 +170,11 @@ class PingList:
         wanted = {
             ProbePair.canonical(*sorted(edge)) for edge in edges
         }
-        restricted = PingList(
-            pairs=self.pairs & wanted, phase=PingListPhase.SKELETON
+        return PingList(
+            pairs=self.pairs & wanted,
+            phase=PingListPhase.SKELETON,
+            _registered=set(self._registered),
         )
-        restricted._registered = set(self._registered)
-        return restricted
 
     # ------------------------------------------------------------------
     # Incremental activation (initialization phase)
@@ -155,7 +182,9 @@ class PingList:
 
     def register(self, container: ContainerId) -> None:
         """Mark a container as RUNNING and probe-able."""
-        self._registered.add(container)
+        if container not in self._registered:
+            self._registered.add(container)
+            self._index = None
 
     def deregister(self, container: ContainerId) -> None:
         """Remove a container (terminated or crashed *gracefully*).
@@ -163,7 +192,9 @@ class PingList:
         Note: an ungraceful crash does NOT deregister — its peers keep
         probing it and correctly observe unconnectivity.
         """
-        self._registered.discard(container)
+        if container in self._registered:
+            self._registered.discard(container)
+            self._index = None
 
     def is_active(self, pair: ProbePair) -> bool:
         """Whether both sides of ``pair`` have registered."""
@@ -172,12 +203,37 @@ class PingList:
             and pair.dst.container in self._registered
         )
 
+    def _active_index(self) -> _ActiveIndex:
+        index = self._index
+        if index is None:
+            active = tuple(sorted(p for p in self.pairs if self.is_active(p)))
+            by_src: Dict[EndpointId, List[ProbePair]] = {}
+            for pair in active:
+                by_src.setdefault(pair.src, []).append(pair)
+            index = self._index = (active, by_src)
+        return index
+
     def active_pairs(self) -> List[ProbePair]:
         """All pairs whose endpoints have both registered, sorted."""
-        return sorted(p for p in self.pairs if self.is_active(p))
+        return list(self._active_index()[0])
+
+    def active_pairs_from(
+        self, sources: Iterable[EndpointId]
+    ) -> List[ProbePair]:
+        """Active pairs whose canonical source is in ``sources``.
+
+        ``sources`` must be in ascending order without repeats (a
+        container's endpoints are); the result is then exactly the
+        matching slice of :meth:`active_pairs`, in the same order.
+        """
+        by_src = self._active_index()[1]
+        mine: List[ProbePair] = []
+        for src in sources:
+            mine.extend(by_src.get(src, ()))
+        return mine
 
     def activation_ratio(self) -> float:
         """Fraction of pairs currently active."""
         if not self.pairs:
             return 0.0
-        return len(self.active_pairs()) / len(self.pairs)
+        return len(self._active_index()[0]) / len(self.pairs)

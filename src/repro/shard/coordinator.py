@@ -527,6 +527,10 @@ class ShardCoordinator:
             # Merged (plane-wide) counters keep their unprefixed names.
             self.metrics.increment("probes.sent", result.probes_sent)
             self.metrics.increment("probes.lost", result.probes_lost)
+            self.metrics.increment("flow_cache.hits", result.cache_hits)
+            self.metrics.increment(
+                "flow_cache.misses", result.cache_misses
+            )
             for record in result.events:
                 if self.vote_table.add_event(record):
                     self.metrics.increment("events.opened")

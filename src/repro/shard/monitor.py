@@ -102,6 +102,10 @@ class ChunkResult:
     #: adopter's post-replay snapshots are bit-identical to those of a
     #: monitor that owned the union pair set from round one.
     breaker_states: Tuple[tuple, ...] = ()
+    #: The replica's flow-resolution cache hits and misses during the
+    #: chunk: a chunk with misses ran (partly) cold.
+    cache_hits: int = 0
+    cache_misses: int = 0
 
 
 class ShardMonitor:
@@ -192,8 +196,10 @@ class ShardMonitor:
                 f"{self.rounds_completed}, cannot start at {start_round}"
             )
         fabric = self.scenario.fabric
+        cache = fabric.resolution_cache
         sent0 = fabric.probes_sent
         lost0 = fabric.probes_lost
+        hits0, misses0 = cache.hits, cache.misses
         now = self.spec.round_time(max(end_round, 1))
         for round_index in range(start_round, end_round + 1):
             self.schedule.advance_to(round_index)
@@ -216,6 +222,8 @@ class ShardMonitor:
             events=self._collect_fresh_events(),
             replayed=replayed,
             breaker_states=self.breaker_snapshots(),
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
         )
 
     def _collect_fresh_events(self) -> Tuple[EventRecord, ...]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.orchestrator import Cluster, Orchestrator
 from repro.cluster.topology import RailOptimizedTopology
+from repro.core.pinglist import ProbePair
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
@@ -56,3 +57,17 @@ def small_scenario():
         num_containers=4, gpus_per_container=4, pp=2, seed=7,
         hosts_per_segment=4,
     )
+
+
+@pytest.fixture
+def comparisons(monkeypatch):
+    """Counts every ``ProbePair.__lt__`` call (i.e. every pair sort)."""
+    calls = []
+    original = ProbePair.__lt__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ProbePair, "__lt__", counting)
+    return calls

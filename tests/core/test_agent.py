@@ -61,6 +61,29 @@ class TestOverlayAgent:
         all_pairs = [p for a in agents for p in a.my_pairs()]
         assert len(all_pairs) == len(set(all_pairs)) == len(ping_list)
 
+    def test_selection_sorts_only_on_registration_change(
+        self, running_task, comparisons
+    ):
+        agent, ping_list = make_agent(running_task)
+        for container in running_task.all_containers():
+            ping_list.register(container.id)
+        first = agent.my_pairs()
+        mine = set(agent.endpoints)
+        active = sorted(p for p in ping_list.pairs if ping_list.is_active(p))
+        assert first == [pair for pair in active if pair.src in mine]
+        comparisons.clear()
+        for _ in range(3):
+            assert agent.my_pairs() == first
+        agent.register()  # already registered: the index survives
+        assert agent.my_pairs() == first
+        assert comparisons == []
+        ping_list.deregister(running_task.container(1).id)
+        assert all(
+            pair.dst.container != running_task.container(1).id
+            for pair in agent.my_pairs()
+        )
+        assert comparisons
+
 
 class TestResourceModel:
     def test_cpu_converges_to_steady_state(self):

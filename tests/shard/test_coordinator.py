@@ -12,6 +12,8 @@ from repro.shard import (
     run_plane,
 )
 from repro.shard.backend import MultiprocessingBackend, backend_named
+from repro.shard.monitor import ShardMonitor
+from repro.shard.spec import build_replica, pair_universe
 
 
 class DyingAdopterBackend:
@@ -70,6 +72,22 @@ class TestHeartbeats:
         assert (
             counters["shard.0.probes.sent"]
             + counters["shard.1.probes.sent"]
+            == counters["probes.sent"]
+        )
+
+    def test_chunks_report_flow_cache_use(self, plain_spec):
+        pairs = pair_universe(plain_spec, build_replica(plain_spec))
+        monitor = ShardMonitor(0, plain_spec, pairs)
+        cold = monitor.run_rounds(1, 1)
+        assert cold.cache_misses > 0  # a fresh replica starts cold
+        for round_index in range(2, 6):
+            warm = monitor.run_rounds(round_index, round_index)
+        assert warm.cache_misses == 0
+        assert warm.cache_hits == warm.probes_sent
+        counters = run_plane(plain_spec, 2, chunk_rounds=3).metrics.counters()
+        assert counters["flow_cache.misses"] > 0
+        assert (
+            counters["flow_cache.hits"] + counters["flow_cache.misses"]
             == counters["probes.sent"]
         )
 

@@ -124,7 +124,7 @@ class TestProbeTargetPass:
         ping_list = hunter.controller.ping_list_of(task_id)
         ghost = EndpointId(ContainerId(task_id, 999), 0)
         real = sorted(ping_list.pairs)[0].src
-        ping_list.pairs.add(ProbePair.canonical(ghost, real))
+        ping_list.pairs = ping_list.pairs | {ProbePair.canonical(ghost, real)}
         result = ProbeTargetPass().run(context(scenario))
         assert any(
             f.component == str(ghost)
@@ -138,7 +138,9 @@ class TestProbeTargetPass:
         ping_list = hunter.controller.ping_list_of(task_id)
         real = sorted(ping_list.pairs)[0]
         bogus = EndpointId(real.src.container, 99)
-        ping_list.pairs.add(ProbePair.canonical(bogus, real.dst))
+        ping_list.pairs = (
+            ping_list.pairs | {ProbePair.canonical(bogus, real.dst)}
+        )
         result = ProbeTargetPass().run(context(scenario))
         assert any(
             "slot 99 exceeds" in f.explanation
@@ -168,7 +170,7 @@ class TestSkeletonCoveragePass:
         edges = traffic_edges(scenario.workload)
         victim = sorted(edges, key=sorted)[0]
         a, b = sorted(victim)
-        ping_list.pairs.discard(ProbePair.canonical(a, b))
+        ping_list.pairs = ping_list.pairs - {ProbePair.canonical(a, b)}
         result = SkeletonCoveragePass().run(context(scenario))
         errors = [
             f for f in result.findings if f.severity is Severity.ERROR
