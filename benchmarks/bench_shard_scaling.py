@@ -18,7 +18,12 @@ from repro.shard.bench import (
     QUICK_SIZE,
     bench_shard_round,
 )
-from repro.shard.equivalence import verify_shard_equivalence
+from repro.shard.equivalence import (
+    default_equivalence_spec,
+    run_plane,
+    shard_gate,
+    verify_equivalence,
+)
 
 ROUNDS = 2
 CONFIGS = ((1, "inproc"), (4, "inproc"), (4, "mp"))
@@ -56,13 +61,18 @@ def test_shard_round_scaling(benchmark):
 
 
 def test_sharded_equals_single_shard(benchmark):
-    summary = run_once(
+    spec = default_equivalence_spec()
+    baseline, compared = run_once(
         benchmark,
-        lambda: verify_shard_equivalence(
-            backends=("inproc", "mp"), with_failover=True
+        lambda: verify_equivalence(
+            lambda config: run_plane(
+                spec, config.workers, config.backend,
+                kill_schedule=config.kill_schedule,
+            ),
+            shard_gate(backends=("inproc", "mp")),
         ),
     )
-    benchmark.extra_info["configs_compared"] = len(summary["compared"])
-    assert summary["baseline_events"] > 0
-    assert summary["baseline_verdicts"] > 0
-    assert len(summary["compared"]) == 6
+    benchmark.extra_info["configs_compared"] = len(compared)
+    assert baseline.events
+    assert baseline.verdicts
+    assert len(compared) == 6

@@ -15,7 +15,7 @@ numbers:
 
 * **shard equivalence** — a spraying gray scenario runs on the sharded
   plane at several shard counts via
-  :func:`repro.shard.equivalence.verify_shard_equivalence`, so the
+  :func:`repro.shard.equivalence.verify_equivalence`, so the
   published report could not depend on how the plane was partitioned;
 * **voting comparison** — the spraying leg is re-run with
   distribution-aware tomography disabled (naive single-sample voting),
@@ -45,7 +45,11 @@ from repro.core.localization import healthy_pairs_for
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
 from repro.network.load import LinkLoadModel
-from repro.shard.equivalence import verify_shard_equivalence
+from repro.shard.equivalence import (
+    run_plane,
+    shard_gate,
+    verify_equivalence,
+)
 from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
 from repro.workloads.scenarios import build_scenario
 
@@ -295,7 +299,7 @@ def run_gray_benchmark(
 
     Returns the JSON-ready report; ``report["summary"]["passed"]``
     tells callers whether every :class:`GrayBounds` held.  Raises
-    :class:`~repro.shard.equivalence.ShardEquivalenceError` if the shard
+    :class:`~repro.shard.equivalence.EquivalenceError` if the shard
     plane ever disagrees with the single-shard run.
     """
     bounds = bounds if bounds is not None else GrayBounds()
@@ -325,12 +329,16 @@ def run_gray_benchmark(
     spray_detected = count("spray", "detected")
     static_localized = count("static", "localized")
     spray_localized = count("spray", "localized")
-    shard = verify_shard_equivalence(
-        spec=gray_shard_spec(seed=seed),
-        shard_counts=(2,) if quick else (2, 4),
-        backends=("inproc",),
-        with_failover=False,
+    shard_spec = gray_shard_spec(seed=seed)
+    shard_baseline, shard_compared = verify_equivalence(
+        lambda config: run_plane(shard_spec, config.workers),
+        shard_gate((2,) if quick else (2, 4), with_failover=False),
     )
+    shard = {
+        "baseline_events": len(shard_baseline.events),
+        "baseline_verdicts": len(shard_baseline.verdicts),
+        "compared": shard_compared,
+    }
     summary: Dict[str, object] = {
         "cases": len(rows),
         "static_detected": static_detected,

@@ -3,36 +3,39 @@
 Measures the multi-tenant plane along the two axes the paper's
 deployment story cares about:
 
-* **jobs x endpoints vs round latency** — how the fleet round's
-  critical path (the busiest worker's wall time, i.e. what a parallel
-  deployment would wait on) grows as concurrent tenants are added to a
-  fixed fabric, and how tenant-sharding over workers bends that curve
-  sub-linear;
+* **jobs x endpoints vs round time** — the measured wall time per
+  fleet round as concurrent tenants are added to a fixed fabric, at
+  several worker counts.  The workers run in-process, one after
+  another, so more workers add coordination and replicas rather than
+  parallelism; each row records the host's CPU count;
 * **coverage under budget** — that every admitted tenant's granted
   per-round coverage stayed at or above its configured floor for the
   whole run, while the global probes-per-round budget was never
   exceeded.
 
-The equivalence gate runs *first* (``verify_fleet_equivalence``): a
-latency number from a plane that changes results when sharded or
-failed-over would be meaningless.
+The equivalence gate runs *first*: a latency number from a plane that
+changes results when sharded or failed-over would be meaningless.  The
+regression gate is an absolute bound on the measured 1-worker round.
 """
 
 from __future__ import annotations
 
-import gc
 import json
+import os
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.coordinator import FleetCoordinator, FleetRunResult
-from repro.fleet.equivalence import verify_fleet_equivalence
+from repro.fleet.equivalence import fleet_gate, run_fleet
 from repro.fleet.lifecycle import demand_table
 from repro.fleet.spec import FleetSpec, TenantSpec
+from repro.shard.equivalence import verify_equivalence
 
 __all__ = [
     "FULL_FABRIC",
+    "FULL_ROUND_S_BOUND",
     "QUICK_FABRIC",
+    "QUICK_ROUND_S_BOUND",
     "fleet_bench_spec",
     "format_report",
     "run_fleet_benchmark",
@@ -43,6 +46,11 @@ __all__ = [
 QUICK_FABRIC = (16, 8, 4)
 #: 4096 hosts and 16384 endpoints — the committed artifact's scale.
 FULL_FABRIC = (512, 8, 4)
+#: Upper bounds on the measured 1-worker round, in seconds: 16 jobs on
+#: the full fabric (``repro fleet bench``'s regression gate) and 4 jobs
+#: on the quick fabric (``benchmarks/bench_fleet.py``).
+FULL_ROUND_S_BOUND = 1.0
+QUICK_ROUND_S_BOUND = 0.1
 
 
 def fleet_bench_spec(
@@ -148,23 +156,17 @@ def bench_fleet_run(
     spec: FleetSpec,
     num_workers: int,
 ) -> Tuple[FleetRunResult, Dict[str, object]]:
-    """Run one fleet shape and report its latency row.
+    """Run one fleet shape and report its measured round time.
 
-    Collection is paused for the timed region: the coordinator times
-    each worker's chunk as if the workers ran on separate machines,
-    and a cyclic-GC pass triggered by the *other* replicas' garbage
-    would otherwise land inside one arbitrary worker's timed section
-    and masquerade as a critical-path outlier.
+    ``setup_s`` is building the coordinator and its worker replicas;
+    ``round_s`` is the wall time of the run divided by its rounds.
     """
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        coordinator = FleetCoordinator(spec, num_workers=num_workers)
-        result = coordinator.run()
-        wall = time.perf_counter() - started
-    finally:
-        gc.enable()
+    started = time.perf_counter()
+    coordinator = FleetCoordinator(spec, num_workers=num_workers)
+    setup_s = time.perf_counter() - started
+    started = time.perf_counter()
+    result = coordinator.run()
+    run_s = time.perf_counter() - started
     peak_concurrent = max(
         (len(r.admitted) for r in result.rollups), default=0
     )
@@ -177,14 +179,15 @@ def bench_fleet_run(
         "fabric_endpoints": spec.endpoint_capacity,
         "monitored_endpoints": monitored_endpoints,
         "workers": num_workers,
+        "cpu_count": os.cpu_count(),
         "rounds": spec.total_rounds,
         "probe_budget_per_round": spec.probe_budget_per_round,
         "probes_sent": result.probes_sent,
-        "critical_path_s": round(result.critical_path_seconds, 6),
-        "round_latency_s": round(
-            result.critical_path_seconds / spec.total_rounds, 6
+        "setup_s": round(setup_s, 6),
+        "round_s": round(run_s / spec.total_rounds, 6),
+        "worker_s": round(
+            sum(seconds for _, seconds in result.worker_seconds), 6
         ),
-        "wall_s": round(wall, 6),
         "budget_ok": _budget_ok(result),
     }
     return result, row
@@ -217,15 +220,18 @@ def run_fleet_benchmark(
         max_jobs, fabric, containers_per_job=containers, seed=seed
     )
     gate_counts = (2,) if quick else (2, 4)
-    baseline = verify_fleet_equivalence(
-        gate_spec, worker_counts=gate_counts, failover=True
+    baseline, compared = verify_equivalence(
+        lambda config: run_fleet(
+            gate_spec, config.workers, kill_schedule=config.kill_schedule
+        ),
+        fleet_gate(gate_counts),
     )
     equivalence: Dict[str, object] = {
-        "worker_counts": [1, *gate_counts],
-        "failover": True,
-        "identical": True,
+        "compared": compared,
         "events": len(baseline.event_summary),
         "verdicts": len(baseline.verdict_summary),
+        "probes_sent": baseline.probes_sent,
+        "probes_lost": baseline.probes_lost,
     }
 
     rows: List[Dict[str, object]] = []
@@ -237,15 +243,8 @@ def run_fleet_benchmark(
         workers_for_jobs = (
             worker_grid if jobs == max_jobs else (1, worker_grid[-1])
         )
-        job_baseline: Optional[float] = None
         for workers in workers_for_jobs:
             result, row = bench_fleet_run(spec, workers)
-            if job_baseline is None:
-                job_baseline = float(row["critical_path_s"])
-            base = job_baseline or 1e-12
-            row["speedup"] = round(
-                base / max(float(row["critical_path_s"]), 1e-12), 4
-            )
             rows.append(row)
             if jobs == max_jobs and workers == worker_grid[-1]:
                 coverage = _coverage_rows(spec, result)
@@ -277,16 +276,20 @@ def format_report(report: Dict[str, object]) -> str:
         f"fleet scaling on {fabric['hosts']} hosts "
         f"({fabric['endpoint_capacity']} endpoint capacity):",
         f"  {'jobs':>5} {'workers':>8} {'endpoints':>10} "
-        f"{'round s':>9} {'speedup':>8} {'budget':>7}",
+        f"{'setup s':>8} {'round s':>8} {'worker s':>9} {'budget':>7}",
     ]
     for row in report["scaling"]:
         lines.append(
             f"  {row['jobs']:>5} {row['workers']:>8} "
             f"{row['monitored_endpoints']:>10} "
-            f"{row['round_latency_s']:>9.4f} "
-            f"{row['speedup']:>7.2f}x "
+            f"{row['setup_s']:>8.3f} {row['round_s']:>8.4f} "
+            f"{row['worker_s']:>9.3f} "
             f"{'ok' if row['budget_ok'] else 'OVER':>7}"
         )
+    lines.append(
+        f"  host: {report['scaling'][0]['cpu_count']} CPU(s); workers "
+        "run in-process, one after another"
+    )
     floors = [row for row in report["coverage"]]
     ok = sum(1 for row in floors if row["floor_ok"])
     lines.append(
@@ -295,8 +298,8 @@ def format_report(report: Dict[str, object]) -> str:
     )
     eq = report["equivalence"]
     lines.append(
-        f"equivalence: worker counts {eq['worker_counts']} + failover "
-        f"bit-identical ({eq['events']} events, "
-        f"{eq['verdicts']} verdict batches)"
+        f"equivalence: {len(eq['compared'])} configurations identical "
+        f"to the single-worker baseline ({eq['events']} events, "
+        f"{eq['verdicts']} verdict batches, {eq['probes_sent']} probes)"
     )
     return "\n".join(lines)

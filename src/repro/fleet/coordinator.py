@@ -1,33 +1,28 @@
-"""The fleet coordinator: tenants sharded over parallel fleet workers.
+"""The fleet coordinator: tenants sharded over fleet workers.
 
-Scales the :class:`~repro.fleet.controller.FleetController` loop the
-same way the shard plane scales a single job's pair list — except the
-unit of placement is a whole *tenant*: a tenant's pairs, analyzer, and
-localizer stay on one worker, so its diagnosis stream is self-contained
-and the coordinator's merge is a disjoint union (no cross-worker vote
-table needed).  Tenants are placed by probe-pair demand with the LPT
-balancer (:func:`repro.shard.partition.place_tenants`); the fleet
-round's critical path is the busiest worker, which is exactly the
-makespan LPT minimizes.
+The unit of placement is a whole *tenant*: its pairs, analyzer and
+localizer stay on one worker, so its diagnosis stream is
+self-contained and the merge is a disjoint union.  Tenants are placed
+by steady-state probe quota with the LPT balancer
+(:func:`repro.shard.partition.place_tenants`).  Every worker replays
+the full lifecycle and fault schedule on its own replica but probes
+only its tenants, so per-tenant results are bit-identical at any
+worker count (:func:`repro.shard.equivalence.verify_equivalence`).
 
-Every worker replays the full lifecycle and fault schedule against its
-own replica (fabric state identical everywhere) but probes only its
-tenants — so per-tenant results are bit-identical no matter how many
-workers the fleet runs on, which
-:mod:`repro.fleet.equivalence` gates directly.
-
-Failover follows the shard plane's shape: a worker killed by the
-schedule has its tenants reassigned to the least-loaded survivors,
-each of which rebuilds with the union tenant set and replays rounds
-``1..r`` (:meth:`FleetController.adopt`).  Replayed incidents are
-deduplicated by event key per tenant.
+The coordinator runs on the shard plane's worker loop
+(:mod:`repro.shard.plane`) with in-process handles: chunks are
+dispatched to every live worker and collected one after another, and
+kills and failover are the plane's.  The fleet supplies the split — a
+dead worker's tenants go heaviest first onto the least-loaded survivor
+— and the merge: per-round rollups and per-tenant replay dedup.  The
+final merge reads the controllers' summaries in-process.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, List, Optional, Set, Tuple, cast
 
 from repro.fleet.budget import ProbeBudgetScheduler, TenantDemand
 from repro.fleet.controller import (
@@ -38,19 +33,15 @@ from repro.fleet.controller import (
 )
 from repro.fleet.lifecycle import demand_table
 from repro.fleet.spec import FleetSpec
+from repro.shard.backend import InProcessBackend, InProcessHandle
 from repro.shard.partition import TenantPlacement, place_tenants
+from repro.shard.plane import Reassignment, WorkerPlane
 
 __all__ = [
-    "FleetPlaneError",
     "FleetRunResult",
     "FleetCoordinator",
     "FleetWorkerStatus",
-    "TenantReassignment",
 ]
-
-
-class FleetPlaneError(RuntimeError):
-    """The fleet plane cannot make progress (all workers dead)."""
 
 
 @dataclass
@@ -64,16 +55,10 @@ class FleetWorkerStatus:
     chunks_completed: int = 0
     adopted_tenants: int = 0
 
-
-@dataclass(frozen=True)
-class TenantReassignment:
-    """Tenants moved from a dead worker to a survivor."""
-
-    chunk: int
-    round_index: int
-    from_worker: int
-    to_worker: int
-    tenants: Tuple[str, ...]
+    def adopt(self, owned: Tuple[str, ...], moved: int) -> None:
+        """Take on ``moved`` orphaned tenants; ``owned`` is the new set."""
+        self.tenants = owned
+        self.adopted_tenants += moved
 
 
 @dataclass(frozen=True)
@@ -94,19 +79,16 @@ class FleetRunResult:
     rollups: Tuple[RoundRollup, ...]
     probes_sent: int
     probes_lost: int
-    reassignments: Tuple[TenantReassignment, ...]
+    reassignments: Tuple[Reassignment, ...]
     #: Tenants admission control rejected, with reasons.
     rejections: Tuple[Tuple[str, str], ...]
-    #: Wall-clock seconds each worker spent probing (steady state).
+    #: Wall-clock seconds each worker spent probing (failover replays
+    #: excluded).  The workers run one after another.
     worker_seconds: Tuple[Tuple[int, float], ...]
-    #: Sum over chunks of the busiest worker's chunk time — the round
-    #: latency a truly parallel deployment would see.
-    critical_path_seconds: float
-    #: Wall-clock seconds spent in failover replays (not steady state).
-    replay_seconds: float
 
     def comparable(self) -> Tuple:
-        """Everything that must match across worker counts/failover."""
+        """The per-tenant outputs that must match across worker counts
+        and failover."""
         return (
             self.event_summary,
             self.verdict_summary,
@@ -116,9 +98,23 @@ class FleetRunResult:
             self.rejections,
         )
 
+    def surfaces(self) -> Dict[str, object]:
+        """What the equivalence gate compares: :meth:`comparable`'s
+        parts by name, plus the probe counts."""
+        names = (
+            "events", "verdicts", "blacklists", "coverage", "rollups",
+            "rejections",
+        )
+        return {
+            **dict(zip(names, self.comparable())),
+            "probes": (self.probes_sent, self.probes_lost),
+        }
 
-class FleetCoordinator:
+
+class FleetCoordinator(WorkerPlane):
     """Drives N fleet workers to the run horizon, merging results."""
+
+    name = "fleet"
 
     def __init__(
         self,
@@ -129,24 +125,19 @@ class FleetCoordinator:
         recorder=None,
         bus=None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError(
-                f"need at least one worker, got {num_workers}"
-            )
-        self.spec = spec
+        """``kill_schedule`` maps worker id -> chunk index (1-based) at
+        whose start the worker is killed."""
+        super().__init__(
+            spec, num_workers, chunk_rounds or spec.chunk_rounds,
+            InProcessBackend(),
+            kill_schedule=kill_schedule, recorder=recorder, bus=bus,
+        )
         self.num_workers = num_workers
-        self.chunk_rounds = chunk_rounds or spec.chunk_rounds
-        #: ``{chunk_index: worker_id}`` — kill the worker just before
-        #: that chunk runs (chunks are 0-based).
-        self.kill_schedule = dict(kill_schedule or {})
-        self.recorder = recorder
-        self.bus = bus
         self.demands: Dict[str, TenantDemand] = demand_table(spec)
         # Balance workers by what each tenant will actually *probe*
         # per round — its steady-state granted quota with everyone
         # admitted — not its raw demand: coverage floors and weights
-        # skew quotas, and the busiest worker is the round's critical
-        # path.
+        # skew quotas.
         scheduler = ProbeBudgetScheduler(spec.probe_budget_per_round)
         steady = scheduler.allocate(
             1, sorted(self.demands.values(), key=lambda d: d.name)
@@ -158,101 +149,48 @@ class FleetCoordinator:
         self.placement: TenantPlacement = place_tenants(
             weights, num_workers
         )
-        self.workers: Dict[int, FleetController] = {}
-        self.statuses: Dict[int, FleetWorkerStatus] = {}
-        self._tenants_of: Dict[int, Tuple[str, ...]] = {}
         for worker_id in range(num_workers):
             tenants = self.placement.tenants_of(worker_id)
-            self.workers[worker_id] = FleetController(
-                spec,
-                monitor_tenants=tenants,
-                worker_id=worker_id,
+            self._spawn(
+                worker_id, tenants,
+                partial(
+                    FleetController, spec,
+                    monitor_tenants=tenants, worker_id=worker_id,
+                ),
             )
-            self._tenants_of[worker_id] = tenants
             self.statuses[worker_id] = FleetWorkerStatus(
-                worker_id=worker_id, tenants=tenants
+                worker_id=worker_id, tenants=self.owned[worker_id]
             )
-        self.reassignments: List[TenantReassignment] = []
         self.chunk_results: List[FleetChunkResult] = []
-        self._worker_seconds: Dict[int, float] = {
-            worker_id: 0.0 for worker_id in range(num_workers)
-        }
-        self._critical_path_seconds = 0.0
-        self._replay_seconds = 0.0
         self._published_rounds = 0
         self._seen_events: Dict[str, Set[tuple]] = {}
 
-    # ------------------------------------------------------------------
-    # The run loop
-    # ------------------------------------------------------------------
+    @property
+    def workers(self) -> Dict[int, FleetController]:
+        """Every worker's controller (in-process), by worker id."""
+        return {
+            worker_id: cast(InProcessHandle, handle).worker
+            for worker_id, handle in self.handles.items()
+        }
 
     def run(self) -> FleetRunResult:
         """Run every chunk to the spec horizon and merge the results."""
-        total = self.spec.total_rounds
-        chunk = 0
-        start = 1
-        while start <= total:
-            end = min(total, start + self.chunk_rounds - 1)
-            self._run_chunk(chunk, start, end)
-            chunk += 1
-            start = end + 1
+        self._drive()
         return self._merge()
 
-    def _live_workers(self) -> List[int]:
-        return sorted(
-            worker_id for worker_id, status in self.statuses.items()
-            if status.alive
-        )
+    # ------------------------------------------------------------------
+    # What the fleet supplies to the shared loop
+    # ------------------------------------------------------------------
 
-    def _run_chunk(self, chunk: int, start: int, end: int) -> None:
-        victim = self.kill_schedule.get(chunk)
-        if (
-            victim is not None
-            and victim in self.statuses
-            and self.statuses[victim].alive
-        ):
-            self._kill(victim, chunk, start)
-        chunk_max = 0.0
-        for worker_id in self._live_workers():
-            worker = self.workers[worker_id]
-            began = time.perf_counter()
-            result = worker.run_rounds(start, end)
-            elapsed = time.perf_counter() - began
-            self._worker_seconds[worker_id] += elapsed
-            chunk_max = max(chunk_max, elapsed)
-            self._ingest(result)
-            status = self.statuses[worker_id]
-            status.rounds_completed = end
-            status.chunks_completed += 1
-        self._critical_path_seconds += chunk_max
-        self._publish_chunk(chunk, end)
-
-    def _kill(self, victim: int, chunk: int, start: int) -> None:
-        """Kill a worker and reassign its tenants before the chunk."""
-        status = self.statuses[victim]
-        status.alive = False
-        orphaned = list(self._tenants_of.pop(victim, ()))
-        if self.recorder is not None:
-            self.recorder.event(
-                "fleet.worker_dead",
-                sim_time=self.spec.round_time(max(start - 1, 1)),
-                worker=victim,
-                tenants=len(orphaned),
-            )
-        if not orphaned:
-            return
-        survivors = self._live_workers()
-        if not survivors:
-            raise FleetPlaneError(
-                f"all fleet workers dead at chunk {chunk}; "
-                f"cannot continue"
-            )
-        # Heaviest orphaned tenant first onto the least-loaded
-        # survivor — the same LPT rule initial placement used.
+    def _split(
+        self, orphaned: Tuple[str, ...], survivors: List[int]
+    ) -> Dict[int, List[str]]:
+        """Heaviest orphaned tenant first onto the least-loaded
+        survivor — the same LPT rule initial placement used."""
         loads = {
             worker_id: sum(
                 self.demands[name].demand
-                for name in self._tenants_of[worker_id]
+                for name in self.owned[worker_id]
             )
             for worker_id in survivors
         }
@@ -260,77 +198,43 @@ class FleetCoordinator:
             worker_id: [] for worker_id in survivors
         }
         for name in sorted(
-            orphaned,
-            key=lambda n: (-self.demands[n].demand, n),
+            orphaned, key=lambda n: (-self.demands[n].demand, n)
         ):
-            target = min(
-                survivors, key=lambda w: (loads[w], w)
-            )
+            target = min(survivors, key=lambda w: (loads[w], w))
             additions[target].append(name)
             loads[target] += self.demands[name].demand
-        upto = start - 1
-        for target in survivors:
-            if not additions[target]:
-                continue
-            adopted = tuple(sorted(additions[target]))
-            began = time.perf_counter()
-            replay = self.workers[target].adopt(adopted, upto)
-            self._replay_seconds += time.perf_counter() - began
-            if replay is not None:
-                self._ingest(replay)
-            self._tenants_of[target] = tuple(sorted(
-                set(self._tenants_of[target]) | set(adopted)
-            ))
-            target_status = self.statuses[target]
-            target_status.tenants = self._tenants_of[target]
-            target_status.adopted_tenants += len(adopted)
-            self.reassignments.append(TenantReassignment(
-                chunk=chunk,
-                round_index=upto,
-                from_worker=victim,
-                to_worker=target,
-                tenants=adopted,
-            ))
-            if self.recorder is not None:
-                self.recorder.event(
-                    "fleet.reassign",
-                    sim_time=self.spec.round_time(max(upto, 1)),
-                    from_worker=victim,
-                    to_worker=target,
-                    tenants=len(adopted),
-                )
+        return additions
 
-    def _ingest(self, result: FleetChunkResult) -> None:
-        """Record a chunk result, deduplicating replayed incidents."""
-        if result.replayed:
-            # Keep only events/verdicts the plane has not seen — an
-            # adopter's replay re-detects everything the dead worker
-            # already reported.
-            fresh_events = tuple(
-                (tenant, record)
-                for tenant, record in result.events
-                if record.key not in self._seen_events.get(tenant, set())
-            )
-            result = FleetChunkResult(
-                worker_id=result.worker_id,
-                start_round=result.start_round,
-                end_round=result.end_round,
-                sim_time=result.sim_time,
-                tenant_names=result.tenant_names,
-                probes_sent=0,      # replayed probes are not new work
-                probes_lost=0,
-                events=fresh_events,
-                verdicts=result.verdicts,
-                rollups=(),         # steady-state rollups already kept
-                replayed=True,
-            )
-        for tenant, record in result.events:
-            self._seen_events.setdefault(tenant, set()).add(record.key)
-        self.chunk_results.append(result)
+    def _merge_chunk(
+        self, chunk: int, start: int, end: int,
+        results: List[FleetChunkResult],
+    ) -> None:
+        for result in results:
+            if result.replayed:
+                # An adopter's replay re-detects what the dead worker
+                # already reported, and its rounds' probes and rollups
+                # were counted when they first ran: keep only events
+                # the plane has not seen.
+                result = replace(
+                    result, probes_sent=0, probes_lost=0, rollups=(),
+                    events=tuple(
+                        (tenant, record)
+                        for tenant, record in result.events
+                        if record.key
+                        not in self._seen_events.get(tenant, set())
+                    ),
+                )
+            else:
+                status = self.statuses[result.worker_id]
+                status.rounds_completed = result.end_round
+                status.chunks_completed += 1
+            for tenant, record in result.events:
+                self._seen_events.setdefault(tenant, set()).add(record.key)
+            self.chunk_results.append(result)
+        self.metrics.increment("fleet.chunks")
+        self._publish_chunk(chunk, end)
 
     def _publish_chunk(self, chunk: int, end_round: int) -> None:
-        if self.recorder is not None:
-            self.recorder.metrics.increment("fleet.chunks")
         if self.bus is None:
             return
         from repro.bus.core import Topic
@@ -348,7 +252,7 @@ class FleetCoordinator:
                 budget=rollup.budget,
                 granted=rollup.granted,
                 utilization=round(rollup.utilization, 6),
-                workers=len(self._live_workers()),
+                workers=len(self._live()),
                 tenants=[
                     {
                         "name": row[0], "demand": row[1],
@@ -394,14 +298,15 @@ class FleetCoordinator:
         verdicts: List[VerdictRow] = []
         blacklists: List[Tuple[str, str]] = []
         coverage: List[Tuple[str, float, float]] = []
-        for worker_id in self._live_workers():
-            worker = self.workers[worker_id]
+        workers = self.workers
+        live = self._live()
+        for worker_id in live:
+            worker = workers[worker_id]
             events.extend(worker.event_summary())
             verdicts.extend(worker.verdict_summary())
             blacklists.extend(worker.blacklist_summary())
             coverage.extend(worker.coverage_summary())
-        live = self._live_workers()
-        plan = self.workers[live[0]].plan if live else None
+        plan = workers[live[0]].plan if live else None
         return FleetRunResult(
             num_workers=self.num_workers,
             total_rounds=self.spec.total_rounds,
@@ -420,9 +325,5 @@ class FleetCoordinator:
             rejections=(
                 plan.rejections if plan is not None else ()
             ),
-            worker_seconds=tuple(sorted(
-                self._worker_seconds.items()
-            )),
-            critical_path_seconds=self._critical_path_seconds,
-            replay_seconds=self._replay_seconds,
+            worker_seconds=tuple(sorted(self.worker_seconds.items())),
         )

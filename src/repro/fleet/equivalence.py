@@ -1,33 +1,31 @@
-"""The fleet plane's bit-equivalence gate.
+"""The fleet plane's gate scenario and configurations.
 
 The multi-tenant claim mirrors the shard plane's: sharding tenants
 over workers — and failing a worker over mid-run — changes *who*
 monitors a tenant, never what the tenant's diagnosis pipeline sees.
-:func:`verify_fleet_equivalence` proves it the only convincing way:
-run the same :class:`~repro.fleet.spec.FleetSpec` single-worker, at
-several worker counts, and once with a mid-run worker kill, then
-require every comparable surface — per-tenant events, verdicts,
-blacklists, coverage, and per-round rollups — to match exactly.
+The one differential gate (:func:`repro.shard.equivalence.
+verify_equivalence`) proves it: it runs the same
+:class:`~repro.fleet.spec.FleetSpec` single-worker, at each
+configuration of :func:`fleet_gate`, and requires every surface of
+:meth:`~repro.fleet.coordinator.FleetRunResult.surfaces` — per-tenant
+events, verdicts, blacklists, coverage, per-round rollups, rejections,
+and probe counts — to match exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.coordinator import FleetCoordinator, FleetRunResult
 from repro.fleet.spec import FleetSpec, TenantSpec
+from repro.shard.equivalence import PlaneConfig
 from repro.shard.spec import FaultSpec, MonitorFaultSpec
 
 __all__ = [
-    "FleetEquivalenceError",
     "default_fleet_spec",
+    "fleet_gate",
     "run_fleet",
-    "verify_fleet_equivalence",
 ]
-
-
-class FleetEquivalenceError(AssertionError):
-    """Two fleet runs that must match did not."""
 
 
 def default_fleet_spec(
@@ -113,56 +111,14 @@ def run_fleet(
     return coordinator.run()
 
 
-def _compare(
-    label: str, baseline: FleetRunResult, candidate: FleetRunResult
-) -> None:
-    names = (
-        "events", "verdicts", "blacklists", "coverage", "rollups",
-        "rejections",
-    )
-    for name, base, cand in zip(
-        names, baseline.comparable(), candidate.comparable()
-    ):
-        if base == cand:
-            continue
-        base_set, cand_set = set(base), set(cand)
-        missing = sorted(base_set - cand_set, key=repr)[:3]
-        extra = sorted(cand_set - base_set, key=repr)[:3]
-        raise FleetEquivalenceError(
-            f"{label}: {name} diverged from the single-worker "
-            f"baseline (missing={missing!r}, extra={extra!r})"
-        )
-
-
-def verify_fleet_equivalence(
-    spec: Optional[FleetSpec] = None,
-    worker_counts: Sequence[int] = (2, 4),
-    failover: bool = True,
-) -> FleetRunResult:
-    """Gate the fleet plane against its single-worker baseline.
-
-    Checks, in order: every worker count in ``worker_counts`` produces
-    byte-identical comparable results; and (with ``failover``) killing
-    worker 0 before the second chunk — forcing tenant reassignment and
-    a full replay-adoption — changes nothing either.  Returns the
-    baseline result for further assertions.
-    """
-    spec = spec or default_fleet_spec()
-    baseline = run_fleet(spec, num_workers=1)
-    for count in worker_counts:
-        candidate = run_fleet(spec, num_workers=count)
-        _compare(f"{count} workers", baseline, candidate)
+def fleet_gate(
+    worker_counts: Sequence[int] = (2, 4), failover: bool = True
+) -> List[PlaneConfig]:
+    """The fleet's gate: every worker count, plus — with ``failover`` —
+    a run at the largest count in which worker 0 is killed at chunk 2,
+    forcing tenant reassignment and a replay-adoption."""
+    configs = [PlaneConfig(count) for count in worker_counts]
     if failover:
         count = max(worker_counts) if worker_counts else 2
-        candidate = run_fleet(
-            spec, num_workers=count, kill_schedule={1: 0}
-        )
-        if not candidate.reassignments:
-            raise FleetEquivalenceError(
-                "failover run produced no tenant reassignments — the "
-                "kill schedule did not exercise adoption"
-            )
-        _compare(
-            f"{count} workers + failover", baseline, candidate
-        )
-    return baseline
+        configs.append(PlaneConfig(count, kills=((0, 2),)))
+    return configs

@@ -4,9 +4,11 @@ Splits the probe-pair universe into topology-aware shards, runs each
 shard's probe rounds and detection independently (in-process or in
 forked worker processes), and recombines per-shard evidence — merged
 tomography votes, global localization, failover of dead shards — in a
-coordinator.  For a fixed run seed, the plane's opened events and
-localization verdicts are bit-identical across shard counts and
-backends; :mod:`repro.shard.equivalence` enforces exactly that.
+coordinator.  The chunk loop, kills and failover live in
+:mod:`repro.shard.plane`, which the fleet coordinator runs on too.  For
+a fixed run seed, the plane's opened events and localization verdicts
+are bit-identical across shard counts and backends;
+:mod:`repro.shard.equivalence` enforces exactly that.
 """
 
 from repro.shard.backend import (
@@ -17,17 +19,17 @@ from repro.shard.backend import (
 )
 from repro.shard.coordinator import (
     MergedVoteTable,
-    Reassignment,
     ShardCoordinator,
-    ShardPlaneError,
     ShardRunResult,
     ShardStatus,
 )
 from repro.shard.equivalence import (
-    ShardEquivalenceError,
+    EquivalenceError,
+    PlaneConfig,
     default_equivalence_spec,
     run_plane,
-    verify_shard_equivalence,
+    shard_gate,
+    verify_equivalence,
 )
 from repro.shard.monitor import ChunkResult, EventRecord, ShardMonitor
 from repro.shard.partition import (
@@ -38,6 +40,7 @@ from repro.shard.partition import (
     place_tenants,
     rebalance_tenants,
 )
+from repro.shard.plane import PlaneError, Reassignment, WorkerPlane
 from repro.shard.spec import (
     FaultScheduleRunner,
     FaultSpec,
@@ -48,6 +51,7 @@ from repro.shard.spec import (
 
 __all__ = [
     "ChunkResult",
+    "EquivalenceError",
     "EventRecord",
     "FaultScheduleRunner",
     "FaultSpec",
@@ -55,17 +59,18 @@ __all__ = [
     "MergedVoteTable",
     "MultiprocessingBackend",
     "PartitionPlan",
+    "PlaneConfig",
+    "PlaneError",
     "Reassignment",
     "ShardCoordinator",
     "ShardDeadError",
-    "ShardEquivalenceError",
     "ShardMonitor",
-    "ShardPlaneError",
     "ShardRunResult",
     "ShardScenarioSpec",
     "ShardStatus",
     "TenantPlacement",
     "TopologyPartitioner",
+    "WorkerPlane",
     "backend_named",
     "build_replica",
     "cross_shard_links",
@@ -74,5 +79,6 @@ __all__ = [
     "place_tenants",
     "rebalance_tenants",
     "run_plane",
-    "verify_shard_equivalence",
+    "shard_gate",
+    "verify_equivalence",
 ]

@@ -1,17 +1,23 @@
-"""Execution backends for shard monitors.
+"""Execution backends for the workers of a plane.
 
-Two interchangeable backends run a :class:`ShardMonitor`:
+A worker is anything with ``run_rounds(start, end)`` and
+``adopt(items, upto_round)``: a :class:`~repro.shard.monitor.ShardMonitor`
+on the shard plane, a :class:`~repro.fleet.controller.FleetController`
+on the fleet.  A backend's ``spawn`` takes the worker's id and a
+zero-argument callable that builds it, and returns a handle.  Two
+interchangeable backends exist:
 
-* :class:`InProcessBackend` keeps every monitor in the coordinator's
+* :class:`InProcessBackend` builds every worker in the coordinator's
   process — zero IPC, ideal for tests and for hosts where the python
   interpreter is the bottleneck anyway; and
-* :class:`MultiprocessingBackend` forks one worker process per shard
-  and speaks a tiny command protocol over a pipe, isolating each
-  shard's replica (a crash or kill of one worker never takes down the
-  plane — the coordinator sees the dead pipe and fails the shard over).
+* :class:`MultiprocessingBackend` forks one worker process per handle
+  (the builder must then be picklable) and speaks a tiny command
+  protocol over a pipe, isolating each worker's replica (a crash or
+  kill of one worker never takes down the plane — the coordinator sees
+  the dead pipe and fails the worker over).
 
 Both expose the same two-phase chunk API (``begin_chunk`` dispatches,
-``finish_chunk`` collects) so the coordinator can overlap all shards'
+``finish_chunk`` collects) so the coordinator can overlap all workers'
 rounds before collecting any result.  Death is signalled exclusively
 by :class:`ShardDeadError` — there are no wall-clock timeouts anywhere
 (the plane must stay deterministic), so a worker death is either a
@@ -22,17 +28,15 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-from typing import List, Optional, Sequence, Tuple
-
-from repro.core.pinglist import ProbePair
-from repro.shard.monitor import ChunkResult, ShardMonitor
-from repro.shard.spec import ShardScenarioSpec
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 __all__ = [
     "InProcessBackend",
+    "InProcessHandle",
     "MultiprocessingBackend",
     "ShardDeadError",
     "ShardHandle",
+    "WorkerBuilder",
 ]
 
 
@@ -40,8 +44,12 @@ class ShardDeadError(RuntimeError):
     """The shard can no longer execute rounds (crashed or killed)."""
 
 
+#: Builds one worker: a shard monitor or a fleet controller.
+WorkerBuilder = Callable[[], Any]
+
+
 class ShardHandle:
-    """One shard as the coordinator sees it (backend-agnostic)."""
+    """One worker as the coordinator sees it (backend-agnostic)."""
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
@@ -50,19 +58,13 @@ class ShardHandle:
     def begin_chunk(self, start_round: int, end_round: int) -> None:
         raise NotImplementedError
 
-    def finish_chunk(self) -> ChunkResult:
+    def finish_chunk(self):
+        """The worker's result for the dispatched chunk."""
         raise NotImplementedError
 
-    def run_chunk(
-        self, start_round: int, end_round: int
-    ) -> ChunkResult:
-        """Convenience: dispatch and collect in one call."""
-        self.begin_chunk(start_round, end_round)
-        return self.finish_chunk()
-
-    def rebuild(
-        self, pairs: Sequence[ProbePair], upto_round: int
-    ) -> Optional[ChunkResult]:
+    def rebuild(self, items: Sequence, upto_round: int):
+        """Rebuild the worker for ``items`` and replay rounds
+        ``1..upto_round``; returns the replay's result (or ``None``)."""
         raise NotImplementedError
 
     def kill(self) -> None:
@@ -80,16 +82,11 @@ class ShardHandle:
 
 
 class InProcessHandle(ShardHandle):
-    """A shard monitor living in the coordinator's process."""
+    """A worker living in the coordinator's process."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardScenarioSpec,
-        pairs: Sequence[ProbePair],
-    ) -> None:
+    def __init__(self, shard_id: int, build: WorkerBuilder) -> None:
         super().__init__(shard_id)
-        self._monitor = ShardMonitor(shard_id, spec, pairs)
+        self.worker = build()
         self._pending: Optional[Tuple[int, int]] = None
 
     def begin_chunk(self, start_round: int, end_round: int) -> None:
@@ -97,21 +94,19 @@ class InProcessHandle(ShardHandle):
             raise ShardDeadError(f"shard {self.shard_id} is dead")
         self._pending = (start_round, end_round)
 
-    def finish_chunk(self) -> ChunkResult:
+    def finish_chunk(self):
         if not self.alive:
             raise ShardDeadError(f"shard {self.shard_id} is dead")
         if self._pending is None:
             raise RuntimeError("finish_chunk without begin_chunk")
         start_round, end_round = self._pending
         self._pending = None
-        return self._monitor.run_rounds(start_round, end_round)
+        return self.worker.run_rounds(start_round, end_round)
 
-    def rebuild(
-        self, pairs: Sequence[ProbePair], upto_round: int
-    ) -> Optional[ChunkResult]:
+    def rebuild(self, items: Sequence, upto_round: int):
         if not self.alive:
             raise ShardDeadError(f"shard {self.shard_id} is dead")
-        return self._monitor.adopt(pairs, upto_round)
+        return self.worker.adopt(items, upto_round)
 
     def kill(self) -> None:
         self.alive = False
@@ -121,17 +116,12 @@ class InProcessHandle(ShardHandle):
 
 
 class InProcessBackend:
-    """Runs every shard inside the coordinator's process."""
+    """Runs every worker inside the coordinator's process."""
 
     name = "inproc"
 
-    def spawn(
-        self,
-        shard_id: int,
-        spec: ShardScenarioSpec,
-        pairs: Sequence[ProbePair],
-    ) -> ShardHandle:
-        return InProcessHandle(shard_id, spec, pairs)
+    def spawn(self, shard_id: int, build: WorkerBuilder) -> ShardHandle:
+        return InProcessHandle(shard_id, build)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +129,7 @@ class InProcessBackend:
 # ----------------------------------------------------------------------
 
 
-def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
+def _worker_main(conn, build: WorkerBuilder) -> None:
     """Worker entry point: serve chunk/rebuild commands over the pipe.
 
     Runs in a forked child.  Must stay deterministic — no wall clocks,
@@ -148,7 +138,7 @@ def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
     ``("err", traceback)`` reply and ends the worker; the coordinator
     treats it like a death and fails the shard over.
     """
-    monitor = ShardMonitor(shard_id, spec, pairs)
+    worker = build()
     while True:
         try:
             message = conn.recv()
@@ -160,9 +150,9 @@ def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
             break
         try:
             if command == "chunk":
-                result = monitor.run_rounds(message[1], message[2])
+                result = worker.run_rounds(message[1], message[2])
             elif command == "rebuild":
-                result = monitor.adopt(message[1], message[2])
+                result = worker.adopt(message[1], message[2])
             else:
                 raise ValueError(f"unknown command {command!r}")
         except Exception:  # noqa: BLE001 - ship the crash, then die
@@ -173,20 +163,14 @@ def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
 
 
 class MultiprocessingHandle(ShardHandle):
-    """A shard monitor in a forked worker process."""
+    """A worker in its own forked process."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardScenarioSpec,
-        pairs: Sequence[ProbePair],
-        context,
-    ) -> None:
+    def __init__(self, shard_id: int, build: WorkerBuilder, context) -> None:
         super().__init__(shard_id)
         self._parent_conn, child_conn = context.Pipe()
         self._process = context.Process(
-            target=_shard_worker_main,
-            args=(child_conn, shard_id, spec, tuple(pairs)),
+            target=_worker_main,
+            args=(child_conn, build),
             daemon=True,
         )
         self._process.start()
@@ -223,13 +207,11 @@ class MultiprocessingHandle(ShardHandle):
     def begin_chunk(self, start_round: int, end_round: int) -> None:
         self._send(("chunk", start_round, end_round))
 
-    def finish_chunk(self) -> ChunkResult:
+    def finish_chunk(self):
         return self._recv()
 
-    def rebuild(
-        self, pairs: Sequence[ProbePair], upto_round: int
-    ) -> Optional[ChunkResult]:
-        self._send(("rebuild", tuple(pairs), upto_round))
+    def rebuild(self, items: Sequence, upto_round: int):
+        self._send(("rebuild", tuple(items), upto_round))
         return self._recv()
 
     def kill(self) -> None:
@@ -252,13 +234,13 @@ class MultiprocessingHandle(ShardHandle):
 
 
 class MultiprocessingBackend:
-    """Runs each shard in its own worker process.
+    """Runs each worker in its own process.
 
     Workers default to ``fork`` where the platform offers it (cheapest:
-    the spec is inherited, not pickled) and fall back to ``spawn``
+    the builder is inherited, not pickled) and fall back to ``spawn``
     elsewhere — ``fork`` does not exist on Windows and is fragile with
     threads on macOS.  Both methods are correct; the protocol ships the
-    spec and pairs explicitly either way.
+    builder explicitly either way.
     """
 
     name = "mp"
@@ -272,15 +254,8 @@ class MultiprocessingBackend:
             )
         self._context = mp.get_context(start_method)
 
-    def spawn(
-        self,
-        shard_id: int,
-        spec: ShardScenarioSpec,
-        pairs: Sequence[ProbePair],
-    ) -> ShardHandle:
-        return MultiprocessingHandle(
-            shard_id, spec, pairs, self._context
-        )
+    def spawn(self, shard_id: int, build: WorkerBuilder) -> ShardHandle:
+        return MultiprocessingHandle(shard_id, build, self._context)
 
 
 def backend_named(name: str):
@@ -291,7 +266,3 @@ def backend_named(name: str):
         return MultiprocessingBackend()
     raise ValueError(f"unknown shard backend {name!r}")
 
-
-def available_backends() -> List[str]:
-    """Names accepted by :func:`backend_named`."""
-    return ["inproc", "mp"]

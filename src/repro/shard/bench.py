@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.probing import estimate_sharded_round_duration
 from repro.shard.backend import backend_named
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.equivalence import verify_shard_equivalence
+from repro.shard.equivalence import (
+    default_equivalence_spec,
+    run_plane,
+    shard_gate,
+    verify_equivalence,
+)
 from repro.shard.spec import ShardScenarioSpec
 
 __all__ = [
@@ -149,9 +154,19 @@ def run_shard_benchmark(
     """Run the gate plus the scaling sweep; optionally write JSON."""
     endpoints, containers, gpus = QUICK_SIZE if quick else FULL_SIZE
     rounds = 2
-    equivalence = verify_shard_equivalence(
-        backends=("inproc", "mp"), with_failover=True
+    gate_spec = default_equivalence_spec()
+    baseline, compared = verify_equivalence(
+        lambda config: run_plane(
+            gate_spec, config.workers, config.backend,
+            kill_schedule=config.kill_schedule,
+        ),
+        shard_gate(backends=("inproc", "mp")),
     )
+    equivalence = {
+        "baseline_events": len(baseline.events),
+        "baseline_verdicts": len(baseline.verdicts),
+        "compared": compared,
+    }
     rows: List[Dict[str, object]] = [
         bench_shard_round(
             containers, gpus, num_shards, backend,

@@ -1,20 +1,23 @@
-"""The shard-equivalence gate.
+"""The differential gate both planes run.
 
-The sharded plane's non-negotiable invariant: for a fixed run seed, the
-set of opened failure events and the localization verdicts are
-identical for every shard count, every backend, and any failover
-history.  This module runs the same spec under several configurations
-and raises :class:`ShardEquivalenceError` on the first divergence —
-the same style of hard gate as :func:`repro.perf.verify_equivalence`
-for the probing fast path.  Tests and the CI smoke job call
-:func:`verify_shard_equivalence`; ``repro bench-shard`` runs it before
-timing anything, so a published speedup can never come from changed
-results.
+For a fixed run seed, what a plane diagnoses must not depend on its
+worker count, backend, or failover history.  :func:`verify_equivalence`
+runs a single-worker in-process baseline and every :class:`PlaneConfig`
+(workers, backend, kill schedule), compares each run's named
+``surfaces()`` with the baseline's, and raises :class:`EquivalenceError`
+on the first divergence.  A configuration with kills must also produce
+reassignments, or failover never ran.  ``repro bench-shard`` and
+``repro fleet bench`` run it before timing anything.
+
+This module also holds the shard plane's gate scenario
+(:func:`default_equivalence_spec`) and configurations
+(:func:`shard_gate`); the fleet's are in :mod:`repro.fleet.equivalence`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.identifiers import LinkId
 from repro.network.issues import IssueType
@@ -23,15 +26,36 @@ from repro.shard.coordinator import ShardCoordinator, ShardRunResult
 from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
 
 __all__ = [
-    "ShardEquivalenceError",
+    "EquivalenceError",
+    "PlaneConfig",
     "default_equivalence_spec",
     "run_plane",
-    "verify_shard_equivalence",
+    "shard_gate",
+    "verify_equivalence",
 ]
 
 
-class ShardEquivalenceError(AssertionError):
-    """A sharded run diverged from the single-shard baseline."""
+class EquivalenceError(AssertionError):
+    """A plane configuration diverged from its single-worker baseline."""
+
+
+@dataclass(frozen=True)
+class PlaneConfig:
+    """One gate configuration: worker count, backend, kill schedule."""
+
+    workers: int
+    backend: str = "inproc"
+    #: ``(worker id, 1-based chunk)`` kills, as in ``kill_schedule``.
+    kills: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def kill_schedule(self) -> Optional[Dict[int, int]]:
+        return dict(self.kills) or None
+
+    def __str__(self) -> str:
+        return f"workers={self.workers} backend={self.backend}" + "".join(
+            f" kill={worker}@chunk{chunk}" for worker, chunk in self.kills
+        )
 
 
 def run_plane(
@@ -104,77 +128,65 @@ def default_equivalence_spec(
     )
 
 
-def _compare(
-    baseline: ShardRunResult, candidate: ShardRunResult, label: str
-) -> None:
-    if baseline.event_summary() != candidate.event_summary():
-        base_keys = baseline.event_keys()
-        cand_keys = candidate.event_keys()
-        raise ShardEquivalenceError(
-            f"{label}: opened events diverge from the single-shard "
-            f"baseline (baseline-only: "
-            f"{sorted(map(str, base_keys - cand_keys))[:5]}, "
-            f"candidate-only: "
-            f"{sorted(map(str, cand_keys - base_keys))[:5]})"
-        )
-    if baseline.verdict_summary() != candidate.verdict_summary():
-        raise ShardEquivalenceError(
-            f"{label}: localization verdicts diverge from the "
-            f"single-shard baseline:\n"
-            f"  baseline:  {baseline.verdict_summary()}\n"
-            f"  candidate: {candidate.verdict_summary()}"
-        )
-    if (
-        baseline.vote_table.as_dict()
-        != candidate.vote_table.as_dict()
-    ):
-        raise ShardEquivalenceError(
-            f"{label}: merged tomography vote tables diverge"
-        )
-
-
-def verify_shard_equivalence(
-    spec: Optional[ShardScenarioSpec] = None,
+def shard_gate(
     shard_counts: Tuple[int, ...] = (2, 4),
     backends: Tuple[str, ...] = ("inproc",),
     with_failover: bool = True,
-    chunk_rounds: int = 5,
-) -> Dict[str, object]:
-    """Run the gate; raises :class:`ShardEquivalenceError` on any diff.
-
-    Compares a ``--shards 1`` in-process baseline against every
-    (shard count, backend) combination, plus — with ``with_failover``
-    — a 4-shard run where one shard is killed mid-run and its pairs
-    fail over.  Returns a summary of what was compared.
-    """
-    spec = spec if spec is not None else default_equivalence_spec()
-    baseline = run_plane(spec, 1, "inproc", chunk_rounds=chunk_rounds)
-    compared: List[str] = []
-    for backend in backends:
-        for num_shards in shard_counts:
-            label = f"shards={num_shards} backend={backend}"
-            candidate = run_plane(
-                spec, num_shards, backend, chunk_rounds=chunk_rounds
-            )
-            _compare(baseline, candidate, label)
-            compared.append(label)
+) -> List[PlaneConfig]:
+    """The shard plane's gate: every (shard count, backend) pair, plus
+    — with ``with_failover`` — a 4-shard run per backend in which shard
+    1 is killed at chunk 2 and its pairs fail over."""
+    configs = [
+        PlaneConfig(count, backend)
+        for backend in backends for count in shard_counts
+    ]
     if with_failover:
-        for backend in backends:
-            label = f"shards=4 backend={backend} kill=1@chunk2"
-            candidate = run_plane(
-                spec, 4, backend,
-                chunk_rounds=chunk_rounds,
-                kill_schedule={1: 2},
+        configs += [
+            PlaneConfig(4, backend, kills=((1, 2),)) for backend in backends
+        ]
+    return configs
+
+
+def _rows(surface) -> set:
+    items = surface.items() if isinstance(surface, dict) else surface
+    return {repr(row) for row in items}
+
+
+def _compare(label: str, baseline: Any, candidate: Any) -> None:
+    expected = baseline.surfaces()
+    for name, got in candidate.surfaces().items():
+        want = expected[name]
+        if got == want:
+            continue
+        missing = sorted(_rows(want) - _rows(got))[:3]
+        extra = sorted(_rows(got) - _rows(want))[:3]
+        raise EquivalenceError(
+            f"{label}: {name} diverged from the single-worker baseline "
+            f"(missing={missing}, extra={extra})"
+        )
+
+
+def verify_equivalence(
+    run: Callable[[PlaneConfig], Any], configs: Iterable[PlaneConfig]
+) -> Tuple[Any, List[str]]:
+    """Run the gate; raises :class:`EquivalenceError` on any diff.
+
+    ``run`` executes one configuration and returns its run result,
+    which has ``surfaces()`` and ``reassignments``.  Every
+    configuration's surfaces must equal those of the ``PlaneConfig(1)``
+    baseline.  Returns the baseline result and the labels of the
+    configurations compared.
+    """
+    baseline = run(PlaneConfig(1))
+    compared: List[str] = []
+    for config in configs:
+        label = str(config)
+        candidate = run(config)
+        if config.kills and not candidate.reassignments:
+            raise EquivalenceError(
+                f"{label}: the scripted kill produced no reassignments "
+                "— failover never ran"
             )
-            if not candidate.reassignments:
-                raise ShardEquivalenceError(
-                    f"{label}: the scripted kill produced no "
-                    f"reassignments — failover never ran"
-                )
-            _compare(baseline, candidate, label)
-            compared.append(label)
-    return {
-        "baseline_events": len(baseline.events),
-        "baseline_verdicts": len(baseline.verdicts),
-        "compared": compared,
-    }
+        _compare(label, baseline, candidate)
+        compared.append(label)
+    return baseline, compared

@@ -178,8 +178,8 @@ def place_tenants(
     Tenants are taken heaviest-first (ties broken by name) and each
     lands on the currently least-loaded shard (ties broken by shard
     id) — the classic LPT heuristic, fully deterministic, within 4/3
-    of the optimal makespan.  The makespan is what matters: the fleet
-    round's critical path is the busiest shard.
+    of the optimal makespan: the busiest shard's load is as small as
+    the heuristic can make it.
     """
     if num_shards < 1:
         raise ValueError(f"need at least one shard, got {num_shards}")

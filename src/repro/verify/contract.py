@@ -52,6 +52,7 @@ FLOW_SINKS: Dict[str, str] = {
     "bus.codec": "bus recorder payloads",
     "shard.monitor": "shard worker results",
     "shard.coordinator": "shard worker results",
+    "shard.plane": "shard worker results",
     "fleet.budget": "fleet scheduler state",
     "fleet.lifecycle": "fleet scheduler state",
     "fleet.controller": "fleet scheduler state",

@@ -14,20 +14,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.equivalence import (
-    FleetEquivalenceError,
     default_fleet_spec,
+    fleet_gate,
     run_fleet,
-    verify_fleet_equivalence,
 )
 from repro.fleet.spec import FleetSpec, TenantSpec
+from repro.shard.equivalence import EquivalenceError, verify_equivalence
 
 from tests.fleet.conftest import small_fleet_spec
 
 
 class TestGate:
     def test_gate_passes_with_chaos_and_failover(self):
-        baseline = verify_fleet_equivalence(
-            default_fleet_spec(), worker_counts=(2,), failover=True
+        spec = default_fleet_spec()
+        baseline, _ = verify_equivalence(
+            lambda config: run_fleet(
+                spec, config.workers, kill_schedule=config.kill_schedule
+            ),
+            fleet_gate(worker_counts=(2,), failover=True),
         )
         assert baseline.event_summary
         assert baseline.verdict_summary
@@ -45,14 +49,15 @@ class TestGate:
             ),
             num_workers=1,
         )
-        from repro.fleet.equivalence import _compare
+        from repro.shard.equivalence import _compare
 
-        with pytest.raises(FleetEquivalenceError):
+        with pytest.raises(EquivalenceError):
             _compare("mutated budget", baseline, other)
 
     def test_failover_without_reassignment_is_flagged(self):
-        """A kill schedule naming a worker that owns nothing must not
-        pass as a failover exercise."""
+        """A kill scheduled after the run's last chunk (chunk 9 of 2)
+        never fires, so the run has no reassignments to pass off as a
+        failover exercise."""
         spec = small_fleet_spec()
         result = run_fleet(
             spec, num_workers=2, kill_schedule={1: 9}
@@ -73,7 +78,7 @@ class TestWorkerCountInvariance:
         spec = small_fleet_spec(churn_rate=0.3)
         baseline = run_fleet(spec, num_workers=1)
         candidate = run_fleet(
-            spec, num_workers=2, kill_schedule={1: 0}
+            spec, num_workers=2, kill_schedule={0: 2}
         )
         assert candidate.reassignments
         assert candidate.comparable() == baseline.comparable()
@@ -132,7 +137,7 @@ class TestChurnProperty:
         sharded = run_fleet(spec, num_workers=num_workers)
         assert sharded.comparable() == baseline.comparable()
         failed_over = run_fleet(
-            spec, num_workers=num_workers, kill_schedule={1: 0}
+            spec, num_workers=num_workers, kill_schedule={0: 2}
         )
         assert failed_over.reassignments
         assert failed_over.comparable() == baseline.comparable()

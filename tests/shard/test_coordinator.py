@@ -6,9 +6,9 @@ from repro.obs.trace import TraceRecorder
 from repro.shard import (
     InProcessBackend,
     MergedVoteTable,
+    PlaneError,
     ShardCoordinator,
     ShardDeadError,
-    ShardPlaneError,
     run_plane,
 )
 from repro.shard.backend import MultiprocessingBackend, backend_named
@@ -26,10 +26,10 @@ class DyingAdopterBackend:
         self._dies = dies_on_rebuild
         self._inner = InProcessBackend()
 
-    def spawn(self, shard_id, spec, pairs):
-        handle = self._inner.spawn(shard_id, spec, pairs)
+    def spawn(self, shard_id, build):
+        handle = self._inner.spawn(shard_id, build)
         if shard_id == self._dies:
-            def dying_rebuild(pairs, upto_round):
+            def dying_rebuild(items, upto_round):
                 handle.alive = False
                 raise ShardDeadError(
                     f"shard {shard_id} crashed mid-rebuild"
@@ -126,7 +126,7 @@ class TestFailover:
         assert live_pairs == sum(result.plan.pair_counts())
 
     def test_killing_every_shard_raises(self, spec):
-        with pytest.raises(ShardPlaneError):
+        with pytest.raises(PlaneError):
             run_plane(spec, 2, chunk_rounds=3,
                       kill_schedule={0: 2, 1: 2})
 
@@ -165,7 +165,7 @@ class TestFailover:
             spec, 2, backend=DyingAdopterBackend(1),
             chunk_rounds=3, kill_schedule={0: 2},
         )
-        with pytest.raises(ShardPlaneError):
+        with pytest.raises(PlaneError):
             coordinator.run()
 
     def test_failover_events_recorded(self, spec):

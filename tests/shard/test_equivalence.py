@@ -4,9 +4,10 @@ independent of shard count, backend, and failover history."""
 import pytest
 
 from repro.shard import (
-    ShardEquivalenceError,
+    EquivalenceError,
     run_plane,
-    verify_shard_equivalence,
+    shard_gate,
+    verify_equivalence,
 )
 
 from tests.shard.conftest import small_spec
@@ -92,23 +93,27 @@ class TestDeterminism:
 
 class TestVerifyHelper:
     def test_gate_passes_on_the_small_spec(self):
-        summary = verify_shard_equivalence(
-            spec=small_spec(), shard_counts=(2,), backends=("inproc",),
-            with_failover=True, chunk_rounds=3,
+        baseline, compared = verify_equivalence(
+            lambda config: run_plane(
+                small_spec(), config.workers, config.backend,
+                chunk_rounds=3, kill_schedule=config.kill_schedule,
+            ),
+            shard_gate(shard_counts=(2,), backends=("inproc",),
+                       with_failover=True),
         )
-        assert summary["baseline_events"] > 0
-        assert summary["baseline_verdicts"] > 0
+        assert len(baseline.events) > 0
+        assert len(baseline.verdicts) > 0
         # 1 shard-count comparison + the failover kill run.
-        assert summary["compared"] == [
-            "shards=2 backend=inproc",
-            "shards=4 backend=inproc kill=1@chunk2",
+        assert compared == [
+            "workers=2 backend=inproc",
+            "workers=4 backend=inproc kill=1@chunk2",
         ]
 
     def test_gate_reports_divergence(self, baseline):
         healthy = run_plane(
             small_spec(with_faults=False), 1, chunk_rounds=3
         )
-        with pytest.raises(ShardEquivalenceError):
+        with pytest.raises(EquivalenceError):
             from repro.shard import equivalence
 
-            equivalence._compare(baseline, healthy, "tampered")
+            equivalence._compare("tampered", baseline, healthy)
